@@ -67,12 +67,15 @@ the sleep `// retry-exempt: <why>` when it is genuinely not a retry
 (sampling period, injected test delay, idle self-wake).""",
     "hotpath-alloc": """\
 Allocation on a hot path: functions on the hot list (flush_entry_run,
-DrainBucket, GpuCache::TryGet/Put/UpdateIfPresent, the oracular
-warm/evict paths (WarmBegin/WarmCommit/WarmOne/EvictIfDead/
-PickVictimLocked), the row kernels) must not allocate directly or via a
-directly-called function. Amortized growth of a thread_local or
-pre-reserved buffer may be exempted with `// alloc-ok: <why>` on the
-allocating (or calling) line.""",
+the drainer's register_step and GEntry::AddWriteLocked, DrainBucket,
+GpuCache::TryGet/Put/UpdateIfPresent, the oracular warm/evict paths
+(WarmBegin/WarmCommit/WarmOne/EvictIfDead/PickVictimLocked), the row
+kernels) must not allocate directly or via a directly-called function.
+Allocations are `new`, growing container methods, make_unique & co.,
+and std containers constructed with arguments (a per-record
+`std::vector<float>(first, last)` copy). Amortized growth of a
+thread_local or pre-reserved buffer may be exempted with
+`// alloc-ok: <why>` on the allocating (or calling) line.""",
     "lock-rank-deep": """\
 Transitive lock-rank inversion: a call chain starting under a held lock
 reaches — through any number of frames — the acquisition of a lock

@@ -57,6 +57,11 @@ ALLOC_METHODS = ("push_back", "emplace_back", "resize", "reserve",
 ALLOC_FREE_FNS = ("make_unique", "make_shared", "malloc", "calloc",
                   "realloc", "strdup", "to_string")
 NEW_RE = re.compile(r"(?:^|[^\w.])new\b(?!\s*\()")  # excludes `.new`, none
+# Owning standard containers; constructing one with arguments allocates
+# (see _container_constructions).
+CONTAINER_RE = re.compile(
+    r"\bstd::(vector|deque|list|forward_list|string|basic_string|"
+    r"(?:unordered_)?(?:multi)?(?:map|set))\b")
 MEMORD_RE = re.compile(r"\bmemory_order(?:::|_)(\w+)")
 
 # Directly-blocking primitives (facts.BlockingSite). Everything
@@ -159,6 +164,49 @@ def _extract_args(stmt: str, start: int) -> Optional[str]:
             if depth == 0:
                 return stmt[start + 1:i]
     return None
+
+
+def _container_constructions(code: str) -> List[str]:
+    """Owning std containers constructed with arguments on this line:
+    a temporary (`std::vector<float>(first, last)`) or a named object
+    (`std::vector<float> row(n)`). Both allocate; a bare declaration or
+    an empty `()`/`{}` does not."""
+    found = []
+    n = len(code)
+    for m in CONTAINER_RE.finditer(code):
+        i = m.end()
+        while i < n and code[i].isspace():
+            i += 1
+        if i < n and code[i] == "<":
+            depth = 0
+            while i < n:
+                if code[i] == "<":
+                    depth += 1
+                elif code[i] == ">":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                i += 1
+            if i >= n:
+                continue  # template arguments run past the line
+            i += 1
+        while i < n and code[i].isspace():
+            i += 1
+        name = re.match(r"[A-Za-z_]\w*", code[i:])
+        if name:
+            i += name.end()
+            while i < n and code[i].isspace():
+                i += 1
+        if i >= n or code[i] not in "({":
+            continue
+        close = ")" if code[i] == "(" else "}"
+        j = i + 1
+        while j < n and code[j].isspace():
+            j += 1
+        if j < n and code[j] == close:
+            continue  # default construction
+        found.append("std::" + m.group(1))
+    return found
 
 
 class _Frame:
@@ -598,6 +646,9 @@ class Parser:
                                        window=SPIN_BLOCK_TAG_WINDOW)
         if NEW_RE.search(code):
             fn.allocs.append(AllocSite(line=line, what="new",
+                                       tagged=tagged, held=list(held)))
+        for what in _container_constructions(code):
+            fn.allocs.append(AllocSite(line=line, what=what,
                                        tagged=tagged, held=list(held)))
         for m in CALL_RE.finditer(code):
             chain = m.group(1)

@@ -77,6 +77,10 @@ HOT_FUNCTIONS = (
     # FrugalEngine flush data plane (lambdas in frugal_engine.cc)
     "flush_entry_run",
     "refresh_cache",
+    # Drainer per-step registration (lambda in frugal_engine.cc) and the
+    # g-entry W-set insert it runs once per staged update record.
+    "register_step",
+    "GEntry::AddWriteLocked",
     # Two-level PQ dequeue path
     "TwoLevelPQ::DrainBucket",
     # GPU cache operations on the trainer critical path

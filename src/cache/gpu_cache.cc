@@ -486,6 +486,17 @@ GpuCache::Resize(std::size_t new_capacity_rows)
                      "cache capacity must stay positive");
     FRUGAL_CHECK_MSG(new_capacity_rows < kNilSlot,
                      "cache capacity exceeds the u32 slot index space");
+    // The rebuilt arrays (step 2) are allocated before the lock is
+    // taken: trainers keep probing the cache while the pressure monitor
+    // resizes it, and would spin through every allocation made under it.
+    std::vector<float> new_storage(new_capacity_rows * dim_);
+    std::vector<Key> new_slot_key(new_capacity_rows, kInvalidKey);
+    std::vector<std::uint32_t> new_prev(new_capacity_rows, kNilSlot);
+    std::vector<std::uint32_t> new_next(new_capacity_rows, kNilSlot);
+    std::vector<Step> new_use(new_capacity_rows, kNoFutureUse);
+    std::vector<std::uint8_t> new_flags(new_capacity_rows, 0);
+    std::vector<std::uint32_t> new_stamp(new_capacity_rows, 0);
+    FlatMap<Key, std::uint32_t> new_map(new_capacity_rows);
     SpinGuard guard(lock_);
     if (new_capacity_rows == capacity_)
         return 0;
@@ -510,14 +521,6 @@ GpuCache::Resize(std::size_t new_capacity_rows)
     //    are preserved exactly. Next-use hints, warm/hot flags and
     //    fill stamps travel with their rows, so in-flight warm commits
     //    stay well-defined (they re-find the slot through the map).
-    std::vector<float> new_storage(new_capacity_rows * dim_);
-    std::vector<Key> new_slot_key(new_capacity_rows, kInvalidKey);
-    std::vector<std::uint32_t> new_prev(new_capacity_rows, kNilSlot);
-    std::vector<std::uint32_t> new_next(new_capacity_rows, kNilSlot);
-    std::vector<Step> new_use(new_capacity_rows, kNoFutureUse);
-    std::vector<std::uint8_t> new_flags(new_capacity_rows, 0);
-    std::vector<std::uint32_t> new_stamp(new_capacity_rows, 0);
-    FlatMap<Key, std::uint32_t> new_map(new_capacity_rows);
     std::uint32_t new_head[2] = {kNilSlot, kNilSlot};
     std::uint32_t new_tail[2] = {kNilSlot, kNilSlot};
     std::size_t new_size[2] = {0, 0};

@@ -22,8 +22,10 @@
 #ifndef FRUGAL_PQ_G_ENTRY_H_
 #define FRUGAL_PQ_G_ENTRY_H_
 
+#include <algorithm>
 #include <chrono>
-#include <deque>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,12 +35,18 @@
 
 namespace frugal {
 
-/** One pending parameter update in a g-entry's W set. */
+/**
+ * One pending parameter update in a g-entry's W set. The gradient Δ is
+ * not part of the record: it lives in the owning entry's row buffer
+ * (GEntry::gradLocked), which the entry reuses across flushes.
+ */
 struct WriteRecord
 {
-    Step step = 0;            ///< training step that produced the gradient
-    GpuId src = 0;            ///< GPU that produced it
-    std::vector<float> grad;  ///< gradient Δ (may be empty in unit tests)
+    Step step = 0;   ///< training step that produced the gradient
+    GpuId src = 0;   ///< GPU that produced it
+    /** Offset of the gradient row in the owning entry's row buffer, in
+     *  floats; set by GEntry::AddWriteLocked. */
+    std::uint32_t grad_offset = 0;
     /** When the record was staged into the W set; flush threads report
      *  apply-time minus this as the *flush lag* (zero/default in unit
      *  tests that never read it). */
@@ -72,8 +80,8 @@ class GEntry
                          "reads must be registered in step order");
         if (!r_set_.empty() && r_set_.back() == step)
             return {priority_, priority_};  // dedupe within a step
-        // alloc-ok: deque grows in blocks; steady-state registration
-        // reuses freed blocks, so growth amortizes across the run.
+        // alloc-ok: the R set keeps its capacity (one slot per pending
+        // read step), so steady-state registration reuses it.
         r_set_.push_back(step);
         return RecomputePriorityLocked();
     }
@@ -86,39 +94,83 @@ class GEntry
     std::pair<Priority, Priority>
     RemoveReadLocked(Step step) FRUGAL_REQUIRES(lock_)
     {
-        if (!r_set_.empty() && r_set_.front() == step) {
-            r_set_.pop_front();
-        } else {
-            for (auto it = r_set_.begin(); it != r_set_.end(); ++it) {
-                if (*it == step) {
-                    r_set_.erase(it);
-                    break;
-                }
-            }
-        }
-        return RecomputePriorityLocked();
-    }
-
-    /** Appends a pending update to the W set. */
-    std::pair<Priority, Priority>
-    AddWriteLocked(WriteRecord record) FRUGAL_REQUIRES(lock_)
-    {
-        // alloc-ok: moves the record in (no grad copy); vector doubling
-        // amortizes, bounded by the per-entry W set between flushes.
-        w_set_.push_back(std::move(record));
+        // Sorted by registration order; the removed step is almost
+        // always the front.
+        const auto it = std::lower_bound(r_set_.begin(), r_set_.end(), step);
+        if (it != r_set_.end() && *it == step)
+            r_set_.erase(it);
         return RecomputePriorityLocked();
     }
 
     /**
-     * Takes the whole W set for flushing (leaves it empty) and recomputes
-     * the priority. Used by flush threads after claiming the entry.
+     * Appends a pending update to the W set and copies its gradient row
+     * into the entry's row buffer (`grad` may be empty: the PQ tests
+     * register rowless records).
+     */
+    std::pair<Priority, Priority>
+    AddWriteLocked(WriteRecord record, std::span<const float> grad = {})
+        FRUGAL_REQUIRES(lock_)
+    {
+        FRUGAL_DCHECK_MSG(w_rows_.size() <= UINT32_MAX,
+                          "W-set rows outgrew WriteRecord::grad_offset");
+        record.grad_offset = static_cast<std::uint32_t>(w_rows_.size());
+        // alloc-ok: ClearWritesLocked keeps both buffers' capacity, so
+        // they grow only when the W set outgrows its earlier peak.
+        w_rows_.insert(w_rows_.end(), grad.begin(), grad.end());
+        // alloc-ok: as above.
+        w_set_.push_back(record);
+        return RecomputePriorityLocked();
+    }
+
+    /**
+     * Sorts the W set in place into the canonical (step, src) order every
+     * consumer applies a parameter's updates in (keeps stateful
+     * optimizers deterministic and the oracle comparison bit-exact).
+     * Record r's row is gradLocked(r). The span is valid until the next
+     * W-set mutation.
+     */
+    std::span<const WriteRecord>
+    SortWritesLocked() FRUGAL_REQUIRES(lock_)
+    {
+        std::sort(w_set_.begin(), w_set_.end(),
+                  [](const WriteRecord &a, const WriteRecord &b) {
+                      return a.step != b.step ? a.step < b.step
+                                              : a.src < b.src;
+                  });
+        return w_set_;
+    }
+
+    /** The gradient row of a record currently in this entry's W set. */
+    const float *
+    gradLocked(const WriteRecord &record) const FRUGAL_REQUIRES(lock_)
+    {
+        return w_rows_.data() + record.grad_offset;
+    }
+
+    /**
+     * Empties the W set once it has been applied, keeping the record and
+     * row buffers' capacity, and recomputes the priority.
+     */
+    std::pair<Priority, Priority>
+    ClearWritesLocked() FRUGAL_REQUIRES(lock_)
+    {
+        w_set_.clear();
+        w_rows_.clear();
+        return RecomputePriorityLocked();
+    }
+
+    /**
+     * Detaches the W set's records (in their current order) and clears
+     * the rows, leaving the W set empty. The rows are dropped: code that
+     * applies gradients does so in place (SortWritesLocked, gradLocked,
+     * ClearWritesLocked), which also keeps the record buffer's capacity.
      */
     std::vector<WriteRecord>
     TakeWritesLocked() FRUGAL_REQUIRES(lock_)
     {
         std::vector<WriteRecord> taken;
         taken.swap(w_set_);
-        RecomputePriorityLocked();
+        ClearWritesLocked();
         return taken;
     }
 
@@ -156,8 +208,12 @@ class GEntry
 
     const Key key_;
     Spinlock lock_{LockRank::kGEntry};
-    std::deque<Step> r_set_ FRUGAL_GUARDED_BY(lock_);
+    /** Pending read steps, sorted. A flat vector: an empty std::deque
+     *  already holds a heap map and block per entry. */
+    std::vector<Step> r_set_ FRUGAL_GUARDED_BY(lock_);
     std::vector<WriteRecord> w_set_ FRUGAL_GUARDED_BY(lock_);
+    /** The W set's gradient rows, back to back (WriteRecord::grad_offset). */
+    std::vector<float> w_rows_ FRUGAL_GUARDED_BY(lock_);
     Priority priority_ FRUGAL_GUARDED_BY(lock_) = kInfiniteStep;
     bool enqueued_ FRUGAL_GUARDED_BY(lock_) = false;
 };

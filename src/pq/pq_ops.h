@@ -6,10 +6,10 @@
  *  - RegisterRead: the prefetch thread saw `key` in the sample queue for
  *    step s ⇒ insert s into the R set (and re-prioritise if enqueued).
  *  - RegisterUpdate: the staging-drain thread received ⟨key, s, Δ⟩ ⇒
- *    remove s from the R set, append to the W set, enqueue or
- *    re-prioritise.
- *  - TakeClaimedWrites: a flush thread owns a claimed entry ⇒ detach its
- *    W set (ordered deterministically) for application to host memory.
+ *    remove s from the R set, append to the W set (copying Δ into the
+ *    entry's row buffer), enqueue or re-prioritise.
+ *  - FlushClaimed / TakeClaimedWrites: a flush thread owns a claimed
+ *    entry ⇒ apply (or detach) its W set in canonical (step, src) order.
  *
  * Each helper takes the entry lock internally; the FlushQueue methods it
  * calls are specified to run under that lock.
@@ -17,7 +17,7 @@
 #ifndef FRUGAL_PQ_PQ_OPS_H_
 #define FRUGAL_PQ_PQ_OPS_H_
 
-#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "pq/flush_queue.h"
@@ -53,38 +53,36 @@ RegisterRead(FlushQueue &queue, GEntry &entry, Step step)
     PropagatePriorityLocked(queue, entry, before, entry.priorityLocked());
 }
 
-/** Drain-side transition: step `record.step` updated the parameter. */
+/** Drain-side transition: step `record.step` updated the parameter by
+ *  `grad`, which is copied into the entry's row buffer. */
 inline void
-RegisterUpdate(FlushQueue &queue, GEntry &entry, WriteRecord record)
+RegisterUpdate(FlushQueue &queue, GEntry &entry, const WriteRecord &record,
+               std::span<const float> grad = {})
 {
     SpinGuard guard(entry.lock());
     const Priority before = entry.priorityLocked();
     entry.RemoveReadLocked(record.step);
-    entry.AddWriteLocked(std::move(record));
+    entry.AddWriteLocked(record, grad);
     PropagatePriorityLocked(queue, entry, before, entry.priorityLocked());
 }
 
 /**
- * Full flush of one claimed entry: detaches its pending writes, applies
- * them through `apply` (called once per record, in canonical order), then
+ * Full flush of one claimed entry: applies its pending writes in place
+ * through `apply` (called once per record, in canonical order), invokes
+ * `post(key)` once if anything was applied, clears the W set, then
  * reports completion to the queue so the gate can open. This is the body
  * of a flush thread's per-entry work (§3.3 "flush the parameter updates
- * recorded in its W set to host memory").
+ * recorded in its W set to host memory"). Frugal's flush threads use the
+ * post hook to copy the committed host row into the owner GPU's cache
+ * ("H2D"), which must complete before the gate may open.
+ *
+ * Applying under one entry-lock hold also pins the per-key application
+ * order to lock-acquisition order: if a second flush thread claims the
+ * entry's newer writes concurrently, it can only apply them after this
+ * one releases the lock, so a row's update sequence is always the
+ * canonical (step, src) order.
  *
  * @return the number of records applied.
- */
-/**
- * As the two-argument overload below, with a `post(key)` hook invoked
- * once after all records were applied but before the queue learns of
- * completion — still under the entry lock. Frugal's flush threads use it
- * to copy the committed host row into the owner GPU's cache ("H2D"),
- * which must complete before the gate may open.
- *
- * Taking and applying the writes in one critical section also pins the
- * per-key application order to lock-acquisition order: if a second flush
- * thread claims the entry's newer writes concurrently, it can only apply
- * them after this one releases the lock, so a row's update sequence is
- * always the canonical (step, src) order.
  */
 template <typename ApplyFn, typename PostFn>
 std::size_t
@@ -95,28 +93,28 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply,
     std::size_t applied = 0;
     {
         SpinGuard guard(entry.lock());
-        // The drain thread may have added writes and re-enqueued the
-        // entry between our claim and this point. We are about to apply
-        // those newer writes as well, so the standing enqueue must be
-        // retired — otherwise it would survive as a zombie whose logical
-        // count never drains (the queue would never look empty again).
-        if (entry.enqueuedLocked()) {
-            const Priority standing = entry.priorityLocked();
-            entry.setEnqueuedLocked(false);
-            queue.Unenqueue(&entry, standing);
-        }
-        std::vector<WriteRecord> writes = entry.TakeWritesLocked();
-        std::sort(writes.begin(), writes.end(),
-                  [](const WriteRecord &a, const WriteRecord &b) {
-                      return a.step != b.step ? a.step < b.step
-                                              : a.src < b.src;
-                  });
-        for (const WriteRecord &record : writes) {
+        for (const WriteRecord &record : entry.SortWritesLocked()) {
             apply(entry.key(), record);
             ++applied;
         }
         if (applied > 0)
             post(entry.key());
+        // The drain thread may have added writes and re-enqueued the
+        // entry between our claim and this point (or the prefetch thread
+        // gave a claimed ∞-priority entry a read). Those writes were just
+        // applied as well, so the standing enqueue must be retired —
+        // otherwise it would survive as a zombie whose logical count
+        // never drains (the queue would never look empty again). It goes
+        // only now: until the row is written, its logical count is what
+        // keeps the reading step's gate shut, since this claim's
+        // in-flight count may sit in a later bucket.
+        if (entry.enqueuedLocked()) {
+            const Priority standing = entry.priorityLocked();
+            entry.setEnqueuedLocked(false);
+            queue.Unenqueue(&entry, standing);
+        }
+        if (applied > 0)
+            entry.ClearWritesLocked();
     }
     queue.OnFlushed(ticket);
     return applied;
@@ -133,21 +131,14 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply)
 
 /**
  * Flush-side transition: detaches the claimed entry's pending writes,
- * sorted by (step, src) so every consumer applies a given parameter's
- * updates in one canonical order (keeps stateful optimizers
- * deterministic and lets tests compare against an oracle bit-for-bit).
+ * sorted by (step, src) — the order FlushClaimed applies them in.
  */
 inline std::vector<WriteRecord>
 TakeClaimedWrites(GEntry &entry)
 {
     SpinGuard guard(entry.lock());
-    std::vector<WriteRecord> writes = entry.TakeWritesLocked();
-    std::sort(writes.begin(), writes.end(),
-              [](const WriteRecord &a, const WriteRecord &b) {
-                  return a.step != b.step ? a.step < b.step
-                                          : a.src < b.src;
-              });
-    return writes;
+    entry.SortWritesLocked();
+    return entry.TakeWritesLocked();
 }
 
 }  // namespace frugal

@@ -88,6 +88,7 @@ TreeHeapPQ::DequeueClaim(std::vector<ClaimTicket> &out,
             if (heap_.empty())
                 break;
             node = PopMinLocked();
+            ++popped_unchecked_;
         }
         // Validate outside the heap lock: the entry lock is always taken
         // before the heap lock everywhere else (Enqueue/OnPriorityChange
@@ -99,6 +100,7 @@ TreeHeapPQ::DequeueClaim(std::vector<ClaimTicket> &out,
             node.entry->setEnqueuedLocked(false);
             {
                 SpinGuard guard(heap_lock_);
+                --popped_unchecked_;
                 auto it = live_.find(node.priority);
                 FRUGAL_CHECK(it != live_.end());
                 live_.erase(it);
@@ -110,6 +112,10 @@ TreeHeapPQ::DequeueClaim(std::vector<ClaimTicket> &out,
             // across DequeueClaim batches, so growth amortizes away.
             out.push_back(ClaimTicket{node.entry, node.priority});
         } else {
+            {
+                SpinGuard guard(heap_lock_);
+                --popped_unchecked_;
+            }
             // relaxed: monotonic stat counter.
             stale_discards_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -166,14 +172,17 @@ TreeHeapPQ::AuditInvariants(bool quiescent) const
                          << " > child " << heap_[i].priority << ")");
         }
     }
-    // Every live priority has a physical pair; stale pairs only ever
-    // add to the heap, so live can never exceed the physical size.
-    if (live_.size() > heap_.size()) {
+    // Every live priority has a physical pair — in the heap, or popped
+    // by a dequeuer that has not yet checked it against its entry.
+    // Stale pairs only ever add to the heap, so live can never exceed
+    // that count.
+    if (live_.size() > heap_.size() + popped_unchecked_) {
         ++violations;
         FRUGAL_ERROR("tree-heap audit: " << live_.size()
                                          << " live priorities but only "
-                                         << heap_.size()
-                                         << " physical heap nodes");
+                                         << heap_.size() << " heap + "
+                                         << popped_unchecked_
+                                         << " popped nodes");
     }
     if (quiescent && !live_.empty()) {
         ++violations;

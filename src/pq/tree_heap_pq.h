@@ -77,6 +77,9 @@ class TreeHeapPQ final : public FlushQueue
     std::vector<HeapNode> heap_ FRUGAL_GUARDED_BY(heap_lock_);
     std::multiset<Priority> live_ FRUGAL_GUARDED_BY(heap_lock_);
     std::multiset<Priority> in_flight_ FRUGAL_GUARDED_BY(heap_lock_);
+    /** Nodes a dequeuer has popped but not yet checked against their
+     *  entry; a live one's priority is still in live_ meanwhile. */
+    std::size_t popped_unchecked_ FRUGAL_GUARDED_BY(heap_lock_) = 0;
     model_atomic<std::uint64_t> stale_discards_{0};
 };
 

@@ -87,24 +87,6 @@ struct EngineConfig
      *  thread; 1 = the unsharded legacy layout. */
     std::size_t pq_shards = 0;
 
-    /**
-     * Apply claimed flushes through the coalesced batch path: sort each
-     * claim batch by key and commit every claimed entry's W set with
-     * one entry-lock hold, one row-lock acquisition and one owner-cache
-     * refresh per entry run (FrugalEngine only). Also enables
-     * *cooperative flushing*: a gate-blocked trainer claims the entries
-     * blocking its own gate (DequeueClaimBelow, priority <= its step)
-     * and applies them inline instead of paying a flusher wakeup round
-     * trip per step, while idle flush threads nap off the gate CV and
-     * sweep later-step/deferred backlog. `false` restores the per-ticket
-     * legacy shape (one FlushClaimed per ticket, per-record row locking,
-     * flusher-only application, yield-spin backoff) — kept selectable so
-     * bench_e2e_engine can measure the overhaul against the exact
-     * pre-overhaul control plane. Either shape trains bit-identically;
-     * DESIGN.md §9 has the argument.
-     */
-    bool coalesced_flush = true;
-
     /** Update staging queue capacity, in per-(step, GPU) batches (each
      *  batch carries one trace GPU's whole step of gradients). */
     std::size_t staging_capacity = 1 << 15;
@@ -232,14 +214,14 @@ struct RunReport
     std::uint32_t n_gpus = 0;
     double wall_seconds = 0.0;
 
-    /** Gate/stall seconds per step (trainer 0's view). */
+    /** Gate/stall seconds per step, one sample per (trainer, step),
+     *  merged across trainers. */
     StatAccumulator stall_per_step;
     double stall_seconds_total = 0.0;
 
     /** Flush lag: staging-to-commit latency of applied update runs
      *  (seconds; 1-in-16 sampled), merged across flush threads and
-     *  cooperative-flush trainer applies. Populated by FrugalEngine's
-     *  coalesced flush path. */
+     *  cooperative-flush trainer applies. Populated by FrugalEngine. */
     Histogram flush_lag;
 
     /** Merged cache counters across GPUs. */

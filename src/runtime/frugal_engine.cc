@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -60,6 +61,16 @@ struct UpdateBatch
     const std::vector<Key> *keys = nullptr;
     /** keys->size() × dim gradients; row i starts at i * dim. */
     std::vector<float> grads;
+};
+
+/** Row `row` of a completed step's batch `batch`, keyed for sorting the
+ *  step's records into canonical (key, src) order. */
+struct RowRef
+{
+    Key key;
+    GpuId src;
+    std::uint32_t batch;
+    std::uint32_t row;
 };
 
 /**
@@ -584,20 +595,62 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     });
 
     // --- staging drain thread -----------------------------------------
-    std::thread drainer([&] {
+    // Drainer-only scratch, reused across steps.
+    std::vector<RowRef> drain_order;
+    std::vector<Key> drain_keys;
+    std::vector<GEntry *> drain_entries;
+    // Registers a step that is complete everywhere: its R-set removals
+    // and W-set insertions are now safe. Each gradient row is copied from
+    // its staged batch straight into the g-entry's own row buffer, so
+    // registration allocates nothing per record.
+    auto register_step = [&](Step s, const std::vector<UpdateBatch> &batches) {
         const std::size_t dim = config_.dim;
+        // Register in (key, src) order so a key's W records always
+        // *arrive* in canonical order — a flush may otherwise split one
+        // step's records for a key across two flushes and apply them in
+        // whatever order the GPUs happened to stage them.
+        drain_order.clear();
+        for (std::uint32_t b = 0; b < n_gpus; ++b) {
+            const std::vector<Key> &keys = *batches[b].keys;
+            for (std::uint32_t r = 0; r < keys.size(); ++r)
+                // alloc-ok: scratch capacity persists across steps.
+                drain_order.push_back(RowRef{keys[r], batches[b].src, b, r});
+        }
+        std::sort(drain_order.begin(), drain_order.end(),
+                  [](const RowRef &a, const RowRef &b) {
+                      return a.key != b.key ? a.key < b.key : a.src < b.src;
+                  });
+        // Consecutive refs with equal keys hit the same g-entry; resolve
+        // the step's whole (sorted, unique) key list in one batched
+        // registry call — one shard lock per same-shard run instead of
+        // one per key.
+        drain_keys.clear();
+        for (const RowRef &ref : drain_order) {
+            if (drain_keys.empty() || ref.key != drain_keys.back())
+                // alloc-ok: scratch capacity persists across steps.
+                drain_keys.push_back(ref.key);
+        }
+        // alloc-ok: scratch capacity persists across steps.
+        drain_entries.resize(drain_keys.size());
+        registry.GetOrCreateBatch(drain_keys, drain_entries.data());
+        // One stamp for the step's records: flush lag is measured from
+        // here, and the whole step registers in one pass.
+        const auto staged_at = std::chrono::steady_clock::now();
+        std::size_t run = 0;
+        for (const RowRef &ref : drain_order) {
+            if (ref.key != drain_keys[run])
+                ++run;  // drain_order and drain_keys sort identically
+            const float *grad = batches[ref.batch].grads.data() +
+                                static_cast<std::size_t>(ref.row) * dim;
+            RegisterUpdate(*queue, *drain_entries[run],
+                           WriteRecord{.step = s,
+                                       .src = ref.src,
+                                       .staged = staged_at},
+                           std::span<const float>(grad, dim));
+        }
+    };
+    std::thread drainer([&] {
         std::vector<std::vector<UpdateBatch>> step_batches(n_steps);
-        /** Row reference used to order one step's records canonically. */
-        struct RowRef
-        {
-            Key key;
-            GpuId src;
-            std::uint32_t batch;
-            std::uint32_t row;
-        };
-        std::vector<RowRef> order;
-        std::vector<Key> unique_keys;
-        std::vector<GEntry *> entries;
         while (true) {
             // Timed pop: a drain loop that can wake on its own never
             // hangs on a dead producer, and the watchdog can observe
@@ -619,57 +672,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 step_batches[s].push_back(std::move(incoming));
                 if (step_batches[s].size() < n_gpus)
                     continue;
-                // Step complete everywhere: now its R-set removals and
-                // W-set insertions are safe. Register in (key, src)
-                // order so a key's W records always *arrive* in
-                // canonical order — a flush may otherwise split one
-                // step's records for a key across two takes and apply
-                // them in whatever order the GPUs happened to stage
-                // them. Sorting an index of (key, src) row references
-                // replaces the old sort of whole per-key messages.
-                order.clear();
-                for (std::uint32_t b = 0; b < n_gpus; ++b) {
-                    const UpdateBatch &batch = step_batches[s][b];
-                    const std::vector<Key> &keys = *batch.keys;
-                    for (std::uint32_t r = 0; r < keys.size(); ++r)
-                        order.push_back(
-                            RowRef{keys[r], batch.src, b, r});
-                }
-                std::sort(order.begin(), order.end(),
-                          [](const RowRef &a, const RowRef &b) {
-                              return a.key != b.key ? a.key < b.key
-                                                    : a.src < b.src;
-                          });
-                // Consecutive refs with equal keys hit the same
-                // g-entry; resolve the step's whole (sorted, unique)
-                // key list in one batched registry call — one shard
-                // lock per same-shard run instead of one per key.
-                unique_keys.clear();
-                for (const RowRef &ref : order) {
-                    if (unique_keys.empty() ||
-                        ref.key != unique_keys.back())
-                        unique_keys.push_back(ref.key);
-                }
-                entries.resize(unique_keys.size());
-                registry.GetOrCreateBatch(unique_keys, entries.data());
-                // One stamp for the step's records: flush lag is
-                // measured from here, and the whole step registers in
-                // one pass.
-                const auto staged_at = std::chrono::steady_clock::now();
-                std::size_t run = 0;
-                for (const RowRef &ref : order) {
-                    if (ref.key != unique_keys[run])
-                        ++run;  // order and unique_keys sort identically
-                    const UpdateBatch &batch = step_batches[s][ref.batch];
-                    const float *grad =
-                        batch.grads.data() +
-                        static_cast<std::size_t>(ref.row) * dim;
-                    RegisterUpdate(
-                        *queue, *entries[run],
-                        WriteRecord{s, ref.src,
-                                    std::vector<float>(grad, grad + dim),
-                                    staged_at});
-                }
+                register_step(s, step_batches[s]);
                 step_batches[s].clear();
                 step_batches[s].shrink_to_fit();
                 drained_steps.store(s + 1, std::memory_order_release);
@@ -723,13 +726,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                              << " attempts; giving up (permanent "
                                 "failure, not transient)");
     };
-    auto apply_update = [&](Key key, const WriteRecord &record) {
-        await_host_write(key);
-        table_->ApplyGradient(key, record.grad.data(), *optimizer_);
-        // updates_applied is bumped once per ticket by the caller (with
-        // the count FlushClaimed returns), not per record here: one
-        // release fetch_add per entry instead of one per update.
-    };
     auto refresh_cache = [&](Key key) {
         // "H2D": copy the committed row into the owner's cache. Also
         // runs on the watchdog thread when reclaiming abandoned claims,
@@ -765,39 +761,32 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         caches[owner]->UpdateIfPresent(key, row.data());
     };
     /**
-     * Coalesced counterpart of FlushClaimed (pq_ops.h): commits one
-     * claimed entry's whole W set with a single row-lock acquisition
-     * (ApplyGradients) instead of one per record, still inside one
-     * entry-lock critical section so the per-key application order stays
-     * the canonical (step, src) order — the take and the applies cannot
-     * interleave with a concurrent claim of the same entry's newer
-     * writes. Per-record optimizer applications are unchanged, so the
-     * result is bit-identical to the per-ticket path. The caller invokes
-     * OnFlushed per ticket afterwards (not here: a key run may cover
-     * several tickets for the same entry, each retiring its own claim).
+     * Applies one claimed entry's whole W set in place, inside one
+     * entry-lock critical section: sort the records into canonical
+     * (step, src) order, commit them with a single row-lock acquisition
+     * (ApplyGradients), refresh the owner's cache, retire a standing
+     * (zombie) enqueue, then clear the W set keeping its capacity. A
+     * concurrent claim of the same entry's newer writes can only apply
+     * after this releases the lock, so every row sees its updates in the
+     * canonical order no matter who applies them. Flushers, cooperative
+     * trainers and watchdog reclaim all apply through here. The caller
+     * invokes OnFlushed per ticket afterwards (not here: a key run may
+     * cover several tickets for the same entry, each retiring its own
+     * claim).
      * @return the number of records applied.
      */
     auto flush_entry_run = [&](GEntry &entry,
                                Histogram *lag_hist) -> std::size_t {
         SpinGuard guard(entry.lock());
-        if (entry.enqueuedLocked()) {
-            // Same zombie-retire rule as FlushClaimed: we consume any
-            // newer writes below, so the standing enqueue must go.
-            const Priority standing = entry.priorityLocked();
-            entry.setEnqueuedLocked(false);
-            queue->Unenqueue(&entry, standing);
-        }
-        std::vector<WriteRecord> writes = entry.TakeWritesLocked();
-        if (writes.empty())
+        const std::span<const WriteRecord> writes = entry.SortWritesLocked();
+        if (writes.empty()) {
+            // Only entries with pending writes are ever enqueued.
+            FRUGAL_DCHECK(!entry.enqueuedLocked());
             return 0;
-        std::sort(writes.begin(), writes.end(),
-                  [](const WriteRecord &a, const WriteRecord &b) {
-                      return a.step != b.step ? a.step < b.step
-                                              : a.src < b.src;
-                  });
+        }
         const Key key = entry.key();
-        // Same per-record transient-fault sequence as the per-ticket
-        // path; only the row writes themselves are batched after it.
+        // One transient-fault check per record; only the row writes
+        // themselves are batched after it.
         // spin-block-ok: deliberate — the retry backoff sleeps under
         // the g-entry lock so a write storm delays only this key (see
         // await_host_write); contention on one entry's lock is rare.
@@ -809,7 +798,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         for (const WriteRecord &record : writes)
             // alloc-ok: thread_local scratch; capacity amortizes across
             // entry runs (clear() keeps it), so growth is one-time.
-            grad_ptrs.push_back(record.grad.data());
+            grad_ptrs.push_back(entry.gradLocked(record));
         table_->ApplyGradients(key, grad_ptrs.data(), writes.size(),
                                *optimizer_);
         refresh_cache(key);
@@ -817,7 +806,20 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             lag_hist->Add(Seconds(writes.front().staged,
                                   std::chrono::steady_clock::now()));
         }
-        return writes.size();
+        const std::size_t applied = writes.size();
+        if (entry.enqueuedLocked()) {
+            // Same zombie-retire rule as FlushClaimed: the writes behind
+            // a standing enqueue were applied above, so it goes — only
+            // now, because its logical count is what keeps the gate of
+            // the step that reads this row shut while the row is written
+            // (the claim's own in-flight count may sit in a later
+            // bucket, e.g. ∞).
+            const Priority standing = entry.priorityLocked();
+            entry.setEnqueuedLocked(false);
+            queue->Unenqueue(&entry, standing);
+        }
+        entry.ClearWritesLocked();
+        return applied;
     };
 
     std::vector<std::unique_ptr<FlusherSlot>> flusher_slots;
@@ -828,12 +830,12 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     // a dead slot with the identical loop.
     std::function<void(FlusherSlot *)> flusher_body =
         [&](FlusherSlot *slot) {
-            // Consecutive zero-claim passes before the coalesced shape
-            // stops yielding and parks on the gate CV between rescans.
+            // Consecutive zero-claim passes before the flusher stops
+            // yielding and naps between rescans.
             constexpr std::size_t kParkAfterEmptyClaims = 2;
             std::size_t empty_claims = 0;
-            // Coalesced-shape idle nap; doubles (capped) while the
-            // queue stays dry, resets on a successful claim.
+            // Idle nap; doubles (capped) while the queue stays dry,
+            // resets on a successful claim.
             std::chrono::microseconds idle_sleep{500};
             // Flush-lag is sampled (1 in 16 runs): a steady_clock read
             // plus a log-bucket histogram insert per applied run is
@@ -844,33 +846,18 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 if (queue->SizeApprox() == 0) {
                     if (drain_done.load(std::memory_order_acquire))
                         return;
-                    if (config_.coalesced_flush) {
-                        // Idle, coalesced shape: flat self-wake, off
-                        // the gate CV. The drainer's nudge_gate is a
-                        // notify_all; four flushers parked on it turn
-                        // every drained step into a thundering herd
-                        // whose losers wake, rescan and re-park. The
-                        // gate-blocked trainer now claims its own
-                        // blockers (cooperative flush), so an idle
-                        // flusher only needs to wake often enough to
-                        // absorb later-step and deferred backlog.
-                        // retry-exempt: idle self-wake, not a retry.
-                        std::this_thread::sleep_for(idle_sleep);
-                        idle_sleep =
-                            std::min(idle_sleep * 2,
-                                     std::chrono::microseconds(4000));
-                    } else {
-                        // Idle: block until the drainer publishes new
-                        // work (or winds down) instead of burning the
-                        // timeslice.
-                        std::unique_lock<std::mutex> lock(gate_mutex);
-                        gate_cv.wait_for(
-                            lock, std::chrono::microseconds(500), [&] {
-                                return queue->SizeApprox() > 0 ||
-                                       drain_done.load(
-                                           std::memory_order_acquire);
-                            });
-                    }
+                    // Idle: flat self-wake, off the gate CV. The
+                    // drainer's nudge_gate is a notify_all; four
+                    // flushers parked on it turn every drained step
+                    // into a thundering herd whose losers wake, rescan
+                    // and re-park. The gate-blocked trainer claims its
+                    // own blockers (cooperative flush), so an idle
+                    // flusher only needs to wake often enough to absorb
+                    // later-step and deferred backlog.
+                    // retry-exempt: idle self-wake, not a retry.
+                    std::this_thread::sleep_for(idle_sleep);
+                    idle_sleep = std::min(idle_sleep * 2,
+                                          std::chrono::microseconds(4000));
                     continue;
                 }
                 // The scan floor relies on the gate's invariant that
@@ -895,29 +882,22 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     // Entries exist but are momentarily unclaimable
                     // (mid-publish or taken by a peer); back off briefly.
                     slot->busy.store(false, std::memory_order_release);
-                    if (config_.coalesced_flush) {
-                        // Two-stage backoff: yield while the pipeline
-                        // is merely between batches, then a flat sleep
-                        // after a streak of empty claims. Everything
-                        // visible is in flight on a peer — or on a
-                        // gate-blocked trainer, which self-claims in
-                        // the cooperative-flush path and must not have
-                        // to outrace a CV-parked flusher for the work
-                        // it is waiting on — so rescanning in-flight
-                        // entries only burns timeslices the applying
-                        // threads need. The legacy shape keeps the
-                        // bare yield so bench_e2e_engine measures the
-                        // pre-overhaul loop faithfully.
-                        if (++empty_claims < kParkAfterEmptyClaims) {
-                            std::this_thread::yield();
-                        } else {
-                            // retry-exempt: contention backoff while
-                            // peers hold the claims, not a retry.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(200));
-                        }
-                    } else {
+                    // Two-stage backoff: yield while the pipeline is
+                    // merely between batches, then a flat sleep after a
+                    // streak of empty claims. Everything visible is in
+                    // flight on a peer — or on a gate-blocked trainer,
+                    // which self-claims in the cooperative-flush path
+                    // and must not have to outrace a flusher for the
+                    // work it is waiting on — so rescanning in-flight
+                    // entries only burns timeslices the applying
+                    // threads need.
+                    if (++empty_claims < kParkAfterEmptyClaims) {
                         std::this_thread::yield();
+                    } else {
+                        // retry-exempt: contention backoff while peers
+                        // hold the claims, not a retry.
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(200));
                     }
                     continue;
                 }
@@ -978,85 +958,55 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                         }
                     }
                 };
-                if (config_.coalesced_flush) {
-                    // Coalesced application: group the batch by key so
-                    // tickets for the same entry form one contiguous
-                    // run, then commit each run with one entry-lock
-                    // hold, one row-lock acquisition and one owner
-                    // cache refresh. Sorting happens *after* the
-                    // auditor saw the batch in dequeue (priority)
-                    // order.
-                    std::sort(claimed.begin(), claimed.end(),
-                              [](const ClaimTicket &a,
-                                 const ClaimTicket &b) {
-                                  return a.entry->key() < b.entry->key();
-                              });
-                    std::size_t i = 0;
-                    while (i < claimed.size()) {
-                        std::size_t j = i + 1;
-                        while (j < claimed.size() &&
-                               claimed[j].entry == claimed[i].entry)
-                            ++j;
-                        if (injected_death())
-                            return;
-                        if (config_.flush_delay_us > 0) {
-                            // Fault injection: a slow host-memory path
-                            // (per ticket, as in the per-ticket shape).
-                            // retry-exempt: injected delay.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(
-                                    config_.flush_delay_us *
-                                    static_cast<long>(j - i)));
-                        }
-                        // A second ticket for the same entry finds the
-                        // W set already taken (applied == 0) and just
-                        // retires its claim — same as the per-ticket
-                        // path's zombie handling.
-                        const std::size_t applied = flush_entry_run(
-                            *claimed[i].entry,
-                            (lag_tick++ & 0xf) == 0 ? &slot->lag
-                                                    : nullptr);
+                // Coalesced application: group the batch by key so
+                // tickets for the same entry form one contiguous run, then
+                // commit each run with one entry-lock hold, one row-lock
+                // acquisition and one owner cache refresh. Sorting
+                // happens *after* the auditor saw the batch in dequeue
+                // (priority) order.
+                std::sort(claimed.begin(), claimed.end(),
+                          [](const ClaimTicket &a, const ClaimTicket &b) {
+                              return a.entry->key() < b.entry->key();
+                          });
+                std::size_t i = 0;
+                while (i < claimed.size()) {
+                    std::size_t j = i + 1;
+                    while (j < claimed.size() &&
+                           claimed[j].entry == claimed[i].entry)
+                        ++j;
+                    if (injected_death())
+                        return;
+                    if (config_.flush_delay_us > 0) {
+                        // Fault injection: a slow host-memory path (per
+                        // ticket).
+                        // retry-exempt: injected delay.
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(
+                                config_.flush_delay_us *
+                                static_cast<long>(j - i)));
+                    }
+                    // A second ticket for the same entry finds the W set
+                    // already applied (applied == 0) and just retires its
+                    // claim.
+                    const std::size_t applied = flush_entry_run(
+                        *claimed[i].entry,
+                        (lag_tick++ & 0xf) == 0 ? &slot->lag : nullptr);
+                    for (std::size_t k = i; k < j; ++k)
+                        queue->OnFlushed(claimed[k]);
+                    if (applied > 0) {
+                        // release: pairs with the checkpoint barrier's
+                        // acquire load. A reader observing applied ==
+                        // emitted must also observe every row/optimizer
+                        // write committed before the increment.
+                        updates_applied.fetch_add(
+                            applied, std::memory_order_release);
+                    }
+                    {
+                        SpinGuard guard(slot->lock);
                         for (std::size_t k = i; k < j; ++k)
-                            queue->OnFlushed(claimed[k]);
-                        if (applied > 0) {
-                            // release: pairs with the checkpoint
-                            // barrier's acquire load. A reader
-                            // observing applied == emitted must also
-                            // observe every row/optimizer write
-                            // committed before the increment.
-                            updates_applied.fetch_add(
-                                applied, std::memory_order_release);
-                        }
-                        {
-                            SpinGuard guard(slot->lock);
-                            for (std::size_t k = i; k < j; ++k)
-                                erase_from_ledger(claimed[k]);
-                        }
-                        i = j;
+                            erase_from_ledger(claimed[k]);
                     }
-                } else {
-                    for (const ClaimTicket &ticket : claimed) {
-                        if (injected_death())
-                            return;
-                        if (config_.flush_delay_us > 0) {
-                            // Fault injection: a slow host-memory path.
-                            // retry-exempt: injected delay.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(
-                                    config_.flush_delay_us));
-                        }
-                        const std::size_t applied = FlushClaimed(
-                            *queue, ticket, apply_update, refresh_cache);
-                        if (applied > 0) {
-                            // release: see the coalesced counterpart.
-                            updates_applied.fetch_add(
-                                applied, std::memory_order_release);
-                        }
-                        {
-                            SpinGuard guard(slot->lock);
-                            erase_from_ledger(ticket);
-                        }
-                    }
+                    i = j;
                 }
                 slot->busy.store(false, std::memory_order_release);
                 nudge_gate();
@@ -1130,14 +1080,15 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 }
                 // Reclaim each abandoned ticket: apply its entry's
                 // pending writes and retire the in-flight count. If a
-                // live flusher already took the writes through the
-                // zombie re-enqueue path, the W set is empty and the
-                // call just retires the claim — both outcomes keep the
+                // live flusher already applied the writes through the
+                // zombie re-enqueue path, the W set is empty and this
+                // just retires the claim — both outcomes keep the
                 // per-key canonical order, because W records only ever
-                // leave an entry through a sorted take.
+                // leave an entry through flush_entry_run's sorted apply.
                 for (const ClaimTicket &ticket : abandoned) {
-                    const std::size_t applied = FlushClaimed(
-                        *queue, ticket, apply_update, refresh_cache);
+                    const std::size_t applied =
+                        flush_entry_run(*ticket.entry, nullptr);
+                    queue->OnFlushed(ticket);
                     if (applied > 0) {
                         // release: see the flusher-loop counterpart.
                         updates_applied.fetch_add(
@@ -1351,121 +1302,109 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 const auto wait_start = std::chrono::steady_clock::now();
                 if (!gate_open()) {
                     ++local.gate_waits;
-                    if (config_.coalesced_flush) {
-                        // Cooperative flushing: the gate is blocked
-                        // until the pending entries at or below s are
-                        // applied, so apply them *here* instead of
-                        // parking and paying two context switches
-                        // (wake a flusher, then get woken back) per
-                        // step on the critical path. The claim
-                        // protocol makes this safe — whoever wins the
-                        // claim owns the flush — and flush_entry_run
-                        // keeps the per-key order canonical no matter
-                        // who applies. Claims are batched and grouped
-                        // exactly like the flusher loop; the trainer
-                        // cannot die mid-assist (trainer death fires
-                        // at step boundaries), so no claim ledger is
-                        // needed.
-                        // Fruitless passes before escalating from
-                        // yield to a timed CV park.
-                        constexpr std::size_t kAssistYields = 32;
-                        std::size_t idle_passes = 0;
-                        while (!gate_open()) {
-                            const Step floor = current_step.load(
-                                std::memory_order_acquire);
-                            queue->SetScanBounds(
-                                floor, prefetch_frontier.load(
-                                           std::memory_order_acquire));
-                            assist.clear();
-                            // Bounded claim: only the entries blocking
-                            // *this* gate (priority <= s). Later-step
-                            // and deferred entries stay enqueued so
-                            // their writes keep coalescing for the
-                            // flush threads.
-                            if (queue->DequeueClaimBelow(
-                                    assist,
-                                    // relaxed: degradation knob.
-                                    effective_flush_batch.load(
-                                        std::memory_order_relaxed),
-                                    t, s) == 0) {
-                                // Nothing claimable: the gate waits on
-                                // the prefetcher/drainer, or the work
-                                // is in flight on a flusher. Yield
-                                // first — on a machine with fewer
-                                // cores than threads that hands the
-                                // timeslice straight to whichever
-                                // thread the gate is waiting for,
-                                // without a futex round trip — and
-                                // only park on the CV after a streak
-                                // of fruitless passes.
-                                if (++idle_passes < kAssistYields) {
-                                    std::this_thread::yield();
-                                } else {
-                                    std::unique_lock<std::mutex> lock(
-                                        gate_mutex);
-                                    gate_cv.wait_for(
-                                        lock,
-                                        std::chrono::microseconds(200),
-                                        gate_open);
-                                }
-                                continue;
+                    // Cooperative flushing: the gate is blocked
+                    // until the pending entries at or below s are
+                    // applied, so apply them *here* instead of
+                    // parking and paying two context switches
+                    // (wake a flusher, then get woken back) per
+                    // step on the critical path. The claim
+                    // protocol makes this safe — whoever wins the
+                    // claim owns the flush — and flush_entry_run
+                    // keeps the per-key order canonical no matter
+                    // who applies. Claims are batched and grouped
+                    // exactly like the flusher loop; the trainer
+                    // cannot die mid-assist (trainer death fires
+                    // at step boundaries), so no claim ledger is
+                    // needed.
+                    // Fruitless passes before escalating from
+                    // yield to a timed CV park.
+                    constexpr std::size_t kAssistYields = 32;
+                    std::size_t idle_passes = 0;
+                    while (!gate_open()) {
+                        const Step floor = current_step.load(
+                            std::memory_order_acquire);
+                        queue->SetScanBounds(
+                            floor, prefetch_frontier.load(
+                                       std::memory_order_acquire));
+                        assist.clear();
+                        // Bounded claim: only the entries blocking
+                        // *this* gate (priority <= s). Later-step
+                        // and deferred entries stay enqueued so
+                        // their writes keep coalescing for the
+                        // flush threads.
+                        if (queue->DequeueClaimBelow(
+                                assist,
+                                // relaxed: degradation knob.
+                                effective_flush_batch.load(
+                                    std::memory_order_relaxed),
+                                t, s) == 0) {
+                            // Nothing claimable: the gate waits on
+                            // the prefetcher/drainer, or the work
+                            // is in flight on a flusher. Yield
+                            // first — on a machine with fewer
+                            // cores than threads that hands the
+                            // timeslice straight to whichever
+                            // thread the gate is waiting for,
+                            // without a futex round trip — and
+                            // only park on the CV after a streak
+                            // of fruitless passes.
+                            if (++idle_passes < kAssistYields) {
+                                std::this_thread::yield();
+                            } else {
+                                std::unique_lock<std::mutex> lock(
+                                    gate_mutex);
+                                gate_cv.wait_for(
+                                    lock,
+                                    std::chrono::microseconds(200),
+                                    gate_open);
                             }
-                            idle_passes = 0;
+                            continue;
+                        }
+                        idle_passes = 0;
 #if FRUGAL_DCHECK_ENABLED
-                            if (auditor_armed)
-                                auditor.OnClaimBatch(assist, floor);
+                        if (auditor_armed)
+                            auditor.OnClaimBatch(assist, floor);
 #endif
-                            // relaxed: monotonic stat counter.
-                            entry_claims.fetch_add(
-                                assist.size(),
-                                std::memory_order_relaxed);
-                            std::sort(assist.begin(), assist.end(),
-                                      [](const ClaimTicket &a,
-                                         const ClaimTicket &b) {
-                                          return a.entry->key() <
-                                                 b.entry->key();
-                                      });
-                            std::size_t i = 0;
-                            while (i < assist.size()) {
-                                std::size_t j = i + 1;
-                                while (j < assist.size() &&
-                                       assist[j].entry ==
-                                           assist[i].entry)
-                                    ++j;
-                                if (config_.flush_delay_us > 0) {
-                                    // retry-exempt: injected delay.
-                                    std::this_thread::sleep_for(
-                                        std::chrono::microseconds(
-                                            config_.flush_delay_us *
-                                            static_cast<long>(j - i)));
-                                }
-                                const std::size_t applied =
-                                    flush_entry_run(
-                                        *assist[i].entry,
-                                        (lag_tick++ & 0xf) == 0
-                                            ? &*trainer_lag[t]
-                                            : nullptr);
-                                for (std::size_t k = i; k < j; ++k)
-                                    queue->OnFlushed(assist[k]);
-                                if (applied > 0) {
-                                    updates_applied.fetch_add(
-                                        applied,
-                                        std::memory_order_release);
-                                }
-                                i = j;
+                        // relaxed: monotonic stat counter.
+                        entry_claims.fetch_add(
+                            assist.size(),
+                            std::memory_order_relaxed);
+                        std::sort(assist.begin(), assist.end(),
+                                  [](const ClaimTicket &a,
+                                     const ClaimTicket &b) {
+                                      return a.entry->key() <
+                                             b.entry->key();
+                                  });
+                        std::size_t i = 0;
+                        while (i < assist.size()) {
+                            std::size_t j = i + 1;
+                            while (j < assist.size() &&
+                                   assist[j].entry ==
+                                       assist[i].entry)
+                                ++j;
+                            if (config_.flush_delay_us > 0) {
+                                // retry-exempt: injected delay.
+                                std::this_thread::sleep_for(
+                                    std::chrono::microseconds(
+                                        config_.flush_delay_us *
+                                        static_cast<long>(j - i)));
                             }
-                            nudge_gate();
+                            const std::size_t applied =
+                                flush_entry_run(
+                                    *assist[i].entry,
+                                    (lag_tick++ & 0xf) == 0
+                                        ? &*trainer_lag[t]
+                                        : nullptr);
+                            for (std::size_t k = i; k < j; ++k)
+                                queue->OnFlushed(assist[k]);
+                            if (applied > 0) {
+                                updates_applied.fetch_add(
+                                    applied,
+                                    std::memory_order_release);
+                            }
+                            i = j;
                         }
-                    } else {
-                        std::unique_lock<std::mutex> lock(gate_mutex);
-                        // Timed re-check: a recovery action (flusher
-                        // respawn, claim reclaim) may race a notify;
-                        // the deadline bounds any lost wakeup to one
-                        // period.
-                        while (!gate_cv.wait_for(
-                            lock, std::chrono::milliseconds(50),
-                            gate_open)) {
-                        }
+                        nudge_gate();
                     }
                 }
                 const auto wait_end = std::chrono::steady_clock::now();
@@ -1733,7 +1672,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         report.flush_lag.Merge(slot->lag);
     for (const auto &lag : trainer_lag)
         report.flush_lag.Merge(*lag);
-    report.stall_per_step = stall_stats[0];
+    for (const StatAccumulator &stall : stall_stats)
+        report.stall_per_step.Merge(stall);
     for (double s : stall_seconds)
         report.stall_seconds_total += s;
     report.stall_seconds_total /= n_gpus;

@@ -3,7 +3,7 @@
 // nested guards, an annotated member plus a tagged exemption, a
 // justified relaxed load, an exempted raw atomic, a legal
 // compare_exchange order pair, a retry-exempt monitor sleep, and a
-// tagged hot-path allocation
+// tagged hot-path allocation next to non-allocating container uses
 // (the driver passes `--hot FixtureHotLoop` here too). The driver
 // asserts the analyzer reports zero findings for this tree.
 
@@ -53,6 +53,13 @@ inline void FixtureHotLoop(std::vector<float> &out)
 {
     // alloc-ok: capacity pre-reserved by the caller in this fixture.
     out.push_back(1.0f);
+    // Neither a bare declaration, an empty construction nor a view
+    // allocates.
+    std::vector<float> unused;
+    out = std::vector<float>{};
+    const std::span<const float> view(out.data(), out.size());
+    (void)unused;
+    (void)view;
 }
 
 }  // namespace frugal

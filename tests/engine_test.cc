@@ -243,52 +243,24 @@ TEST(EngineTest, RerunAfterResetIsReproducible)
     EXPECT_TRUE(TablesBitEqual(engine->table(), snapshot));
 }
 
-TEST(EngineTest, LegacyFlushShapeMatchesCoalescedBitForBit)
+TEST(EngineTest, StallPerStepCoversEveryTrainer)
 {
-    // The pre-overhaul control plane (unsharded PQ, per-ticket flush
-    // application) stays selectable as the benchmark control; both
-    // shapes must train to exactly the same parameters.
+    // One gate-wait sample per (trainer, step), merged across trainers.
     EngineConfig config;
     config.n_gpus = 2;
-    config.dim = 8;
-    config.key_space = 256;
-    config.flush_threads = 4;
-    config.audit_consistency = true;
+    config.dim = 4;
+    config.key_space = 128;
+    config.flush_threads = 2;
 
-    Rng rng(91);
+    Rng rng(17);
     ZipfDistribution dist(config.key_space, 0.9);
-    const Trace trace = Trace::Synthetic(dist, rng, 50, 2, 16);
-    const GradFn task = MakeLinearGradTask();
+    const Trace trace = Trace::Synthetic(dist, rng, 40, 2, 8);
 
-    EngineConfig legacy = config;
-    legacy.pq_shards = 1;
-    legacy.coalesced_flush = false;
-
-    auto coalesced_engine = MakeEngine("frugal", config);
-    auto legacy_engine = MakeEngine("frugal", legacy);
-    const RunReport coalesced_report = coalesced_engine->Run(trace, task);
-    const RunReport legacy_report = legacy_engine->Run(trace, task);
-
-    EXPECT_EQ(coalesced_report.audit_violations, 0u);
-    EXPECT_EQ(legacy_report.audit_violations, 0u);
-    EXPECT_EQ(coalesced_report.updates_applied,
-              legacy_report.updates_applied);
-    // Flush-lag instrumentation rides the coalesced path only.
-    EXPECT_GT(coalesced_report.flush_lag.count(), 0u);
-    EXPECT_EQ(legacy_report.flush_lag.count(), 0u);
-    EXPECT_TRUE(
-        TablesBitEqual(coalesced_engine->table(), legacy_engine->table()));
-
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
-                             config.key_space, config.dim);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(coalesced_engine->table(), oracle_table));
+    auto engine = MakeEngine("frugal", config);
+    const RunReport report = engine->Run(trace, MakeLinearGradTask());
+    EXPECT_EQ(report.stall_per_step.count(), 40u * 2u);
+    EXPECT_NEAR(report.stall_per_step.sum(),
+                report.stall_seconds_total * config.n_gpus, 1e-9);
 }
 
 TEST(EngineTest, SingleKeyAdversarialBatch)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -487,7 +488,13 @@ TEST(FaultToleranceTest, HealthyRunNoFalseRecoveries)
     const Trace trace = Trace::Synthetic(dist, rng, 50, 2, 16);
     FrugalEngine engine(config);
     const GradFn task = MakeLinearGradTask();
-    const RunReport report = engine.Run(trace, task);
+    // The whole run can finish inside one poll period; one pause at a
+    // step boundary (20 poll periods, far below the stall deadline) lets
+    // the watchdog sample a healthy pipeline mid-run.
+    const RunReport report = engine.Run(trace, task, [](Step s) {
+        if (s == 25)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
 
     EXPECT_EQ(report.recovery.faults_injected, 0u);
     EXPECT_EQ(report.recovery.write_retries, 0u);

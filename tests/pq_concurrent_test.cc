@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -138,8 +139,9 @@ TEST_P(PqConcurrentTest, GatedTrainingPreservesInvariantAndConserves)
         }
         // "Backward pass": every read key produces one update.
         for (Key k : trace[s]) {
-            RegisterUpdate(*queue, registry.GetOrCreate(k),
-                           {s, 0, {static_cast<float>(s)}});
+            const float grad = static_cast<float>(s);
+            RegisterUpdate(*queue, registry.GetOrCreate(k), {s, 0},
+                           std::span<const float>(&grad, 1));
             ++emitted_records;
         }
         prefetch_to(s + 1 + lookahead);

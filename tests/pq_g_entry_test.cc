@@ -3,10 +3,49 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "pq/g_entry_registry.h"
+
+// Counting global allocator: every test file is its own executable, so
+// replacing operator new here lets a test assert that a code path makes
+// no heap allocation at all.
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+void *
+operator new(std::size_t size)
+{
+    // relaxed: a plain event counter; the tests read it on the same
+    // thread that allocates.
+    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+// GCC cannot see that the replaced operator new is malloc-backed.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace frugal {
 namespace {
@@ -140,20 +179,125 @@ TEST(GEntryTest, DuplicateReadInSameStepDeduped)
 TEST(GEntryTest, TakeWritesEmptiesAndRecomputes)
 {
     GEntry e(1);
+    const std::array<float, 2> row_a = {1.0f, 2.0f};
+    const std::array<float, 2> row_b = {3.0f, 4.0f};
     WithLock(e, [&] {
         e.AddReadLocked(6);
-        e.AddWriteLocked({2, 0, {1.0f, 2.0f}});
-        e.AddWriteLocked({4, 1, {3.0f}});
+        e.AddWriteLocked({2, 0}, row_a);
+        e.AddWriteLocked({4, 1}, row_b);
         auto writes = e.TakeWritesLocked();
         EXPECT_EQ(writes.size(), 2u);
         EXPECT_EQ(writes[0].step, 2u);
-        EXPECT_EQ(writes[0].grad.size(), 2u);
         EXPECT_EQ(writes[1].src, 1u);
+        // Rows sit back to back in the entry's buffer.
+        EXPECT_EQ(writes[0].grad_offset, 0u);
+        EXPECT_EQ(writes[1].grad_offset, 2u);
         EXPECT_FALSE(e.hasWritesLocked());
         // W empty ⇒ priority back to ∞ even with reads pending.
         EXPECT_EQ(e.priorityLocked(), kInfiniteStep);
         return 0;
     });
+}
+
+TEST(GEntryTest, OutOfOrderWritesApplyInCanonicalOrderWithOwnRows)
+{
+    // Records registered out of (step, src) order must come back sorted,
+    // each still paired with the exact bytes of its own gradient row.
+    constexpr std::size_t kDim = 3;
+    struct Arrival
+    {
+        Step step;
+        GpuId src;
+        std::array<float, kDim> row;
+    };
+    const std::vector<Arrival> arrivals = {
+        {5, 1, {0.51f, -0.0f, 1e-30f}},
+        {3, 0, {0.30f, 0.31f, -7.25f}},
+        {5, 0, {0.50f, 0.52f, 3.4e38f}},
+        {3, 2, {0.32f, 0.33f, 0.34f}},
+        {4, 1, {0.41f, 0.42f, 0.43f}},
+    };
+    const std::vector<std::size_t> canonical = {1, 3, 4, 2, 0};
+
+    GEntry e(9);
+    WithLock(e, [&] {
+        e.AddReadLocked(8);
+        for (const Arrival &a : arrivals)
+            e.AddWriteLocked({a.step, a.src}, a.row);
+        const std::span<const WriteRecord> sorted = e.SortWritesLocked();
+        EXPECT_EQ(sorted.size(), arrivals.size());
+        for (std::size_t i = 0; i < sorted.size(); ++i) {
+            const Arrival &want = arrivals[canonical[i]];
+            EXPECT_EQ(sorted[i].step, want.step) << i;
+            EXPECT_EQ(sorted[i].src, want.src) << i;
+            EXPECT_EQ(std::memcmp(e.gradLocked(sorted[i]), want.row.data(),
+                                  sizeof(want.row)),
+                      0)
+                << i;
+        }
+        EXPECT_EQ(e.priorityLocked(), 8u);
+        e.ClearWritesLocked();
+        EXPECT_FALSE(e.hasWritesLocked());
+        EXPECT_EQ(e.priorityLocked(), kInfiniteStep);
+        return 0;
+    });
+}
+
+TEST(GEntryTest, SteadyStateAddFlushCyclesDoNotAllocate)
+{
+    // The engine's per-update path: the prefetcher registers a read,
+    // the drainer removes it and adds one row per GPU, a flusher applies
+    // the sorted W set and clears it. After one warm-up cycle has sized
+    // the buffers, that cycle must never touch the heap.
+    constexpr std::size_t kDim = 16;
+    constexpr GpuId kGpus = 4;
+    std::vector<float> rows(kGpus * kDim);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i] = 0.25f * static_cast<float>(i);
+    std::vector<float> applied(kDim, 0.0f);
+
+    GEntry e(3);
+    auto cycle = [&](Step s) {
+        SpinGuard guard(e.lock());
+        e.AddReadLocked(s + 1);
+        e.RemoveReadLocked(s);
+        for (GpuId src = kGpus; src-- > 0;) {
+            e.AddWriteLocked({s, src},
+                             std::span<const float>(rows).subspan(
+                                 src * kDim, kDim));
+        }
+        for (const WriteRecord &record : e.SortWritesLocked()) {
+            const float *grad = e.gradLocked(record);
+            for (std::size_t j = 0; j < kDim; ++j)
+                applied[j] += grad[j];
+        }
+        e.ClearWritesLocked();
+    };
+    {
+        SpinGuard guard(e.lock());
+        e.AddReadLocked(0);
+    }
+    cycle(0);  // warm-up: sizes the R set, W set and row buffer
+
+    // relaxed: single-threaded test; the counter is only read here.
+    const std::size_t before =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    for (Step s = 1; s <= 100; ++s)
+        cycle(s);
+    // relaxed: as above.
+    const std::size_t after =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u);
+
+    // Every cycle applied each GPU's row once.
+    for (std::size_t j = 0; j < kDim; ++j) {
+        float want = 0.0f;
+        for (Step s = 0; s <= 100; ++s) {
+            for (GpuId src = 0; src < kGpus; ++src)
+                want += rows[src * kDim + j];
+        }
+        EXPECT_EQ(applied[j], want) << j;
+    }
 }
 
 TEST(GEntryTest, NextReadReported)

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -221,8 +222,9 @@ TEST(PqSanitizerStressTest, TwoLevelPqSurvivesAdjustPriorityRaces)
             seed = Mix(seed);
             if (seed % 2 == 0)
                 continue;
-            RegisterUpdate(queue, registry.GetOrCreate(k),
-                           {s, 0, {static_cast<float>(s)}});
+            const float grad = static_cast<float>(s);
+            RegisterUpdate(queue, registry.GetOrCreate(k), {s, 0},
+                           std::span<const float>(&grad, 1));
             // relaxed: single-writer counter (this thread only).
             emitted_records.fetch_add(1, std::memory_order_relaxed);
         }

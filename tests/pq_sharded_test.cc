@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -359,8 +360,9 @@ TEST_P(PqShardedStressTest, ExactlyOnceFlushAndCleanAudit)
                 ++gate_violations;
         }
         for (Key k : trace[s]) {
-            RegisterUpdate(queue, registry.GetOrCreate(k),
-                           {s, 0, {static_cast<float>(s)}});
+            const float grad = static_cast<float>(s);
+            RegisterUpdate(queue, registry.GetOrCreate(k), {s, 0},
+                           std::span<const float>(&grad, 1));
             ++emitted_records;
         }
         // Mid-run accounting audit (non-quiescent checks only).

@@ -223,6 +223,35 @@ TEST(TwoLevelPQTest, ReEnqueueDuringClaimLeavesNoZombie)
     EXPECT_EQ(q.DequeueClaim(out, 4), 0u);
 }
 
+TEST(TwoLevelPQTest, StandingEnqueueKeepsGateShutUntilApplied)
+{
+    // A flush thread claims a deferred (∞-priority) entry. Before it
+    // applies, the prefetch thread registers a read at step 4, which
+    // re-enqueues the claimed entry at priority 4. The flush applies that
+    // write and retires the standing enqueue, but step 4's gate must stay
+    // shut until the write is in host memory: the claim's in-flight count
+    // sits in the ∞ bucket, so only the standing enqueue covers step 4.
+    TwoLevelPQ q(Config(100));
+    GEntry e(1);
+    RegisterUpdate(q, e, {2, 0, {}});  // no reads yet: priority ∞
+    std::vector<ClaimTicket> out;
+    ASSERT_EQ(q.DequeueClaim(out, 1), 1u);
+    ASSERT_EQ(out[0].priority, kInfiniteStep);
+    RegisterRead(q, e, 4);
+    EXPECT_TRUE(q.HasPendingAtOrBelow(4));
+
+    bool gate_shut_while_applying = false;
+    EXPECT_EQ(FlushClaimed(q, out[0],
+                           [&](Key, const WriteRecord &) {
+                               gate_shut_while_applying =
+                                   q.HasPendingAtOrBelow(4);
+                           }),
+              1u);
+    EXPECT_TRUE(gate_shut_while_applying);
+    EXPECT_FALSE(q.HasPendingAtOrBelow(100));
+    EXPECT_EQ(q.SizeApprox(), 0u);
+}
+
 TEST(TwoLevelPQTest, PriorityAtMaxStepIsRepresentable)
 {
     TwoLevelPQ q(Config(10));
