@@ -66,8 +66,9 @@ DESIGN.md §12.3). Route the loop through RetryWithBackoff
 the sleep `// retry-exempt: <why>` when it is genuinely not a retry
 (sampling period, injected test delay, idle self-wake).""",
     "hotpath-alloc": """\
-Allocation on a hot path: functions on the hot list (flush_entry_run,
-the drainer's register_step and GEntry::AddWriteLocked, DrainBucket,
+Allocation on a hot path: functions on the hot list (the engine's
+claim-apply path ApplyClaims/FlushEntryRun, the trainer's Gather, the
+drainer's RegisterStep and GEntry::AddWriteLocked, DrainBucket,
 GpuCache::TryGet/Put/UpdateIfPresent, the oracular warm/evict paths
 (WarmBegin/WarmCommit/WarmOne/EvictIfDead/PickVictimLocked), the row
 kernels) must not allocate directly or via a directly-called function.

@@ -68,18 +68,24 @@ LOCK_RANKS: Dict[str, int] = {
 
 # ---------------------------------------------------------------------------
 # Hot-path allocation-freedom list. Entries match a function's qualified
-# name (`Class::Name`) or its unqualified name when given bare; lambda
-# hot paths (flush_entry_run & friends) are matched by the variable they
-# are bound to.
+# name (`Class::Name`) or its unqualified name when given bare; a lambda
+# is matched by the variable it is bound to.
 # ---------------------------------------------------------------------------
 
 HOT_FUNCTIONS = (
-    # FrugalEngine flush data plane (lambdas in frugal_engine.cc)
-    "flush_entry_run",
-    "refresh_cache",
-    # Drainer per-step registration (lambda in frugal_engine.cc) and the
-    # g-entry W-set insert it runs once per staged update record.
-    "register_step",
+    # FrugalEngine flush data plane (Pipeline stages in frugal_engine.cc):
+    # the one claim-apply path every flusher, gate-blocked trainer and
+    # watchdog reclaim runs, and the per-entry apply under it.
+    "Pipeline::ApplyClaims",
+    "Pipeline::FlushEntryRun",
+    "Pipeline::RefreshCache",
+    # Trainer gather stage: cache probes, batched miss gather, refills.
+    # (The emit stage is not listed: its per-(step, GPU) gradient buffer
+    # is a real allocation, tracked on ROADMAP item 3.)
+    "Pipeline::Gather",
+    # Drainer per-step registration and the g-entry W-set insert it runs
+    # once per staged update record.
+    "Pipeline::RegisterStep",
     "GEntry::AddWriteLocked",
     # Two-level PQ dequeue path
     "TwoLevelPQ::DrainBucket",

@@ -117,6 +117,26 @@ struct GpuCacheStats
     std::uint64_t promotions = 0;  ///< cold→hot on re-reference
     std::uint64_t demotions = 0;   ///< hot→cold on hot-segment overflow
 
+    /** Adds every counter of `other` (merging per-GPU caches). */
+    GpuCacheStats &
+    operator+=(const GpuCacheStats &other)
+    {
+        hits += other.hits;
+        misses += other.misses;
+        insertions += other.insertions;
+        evictions += other.evictions;
+        flush_writes += other.flush_writes;
+        warm_inserts += other.warm_inserts;
+        warm_hits += other.warm_hits;
+        dead_evictions += other.dead_evictions;
+        hot_hits += other.hot_hits;
+        cold_hits += other.cold_hits;
+        admission_declines += other.admission_declines;
+        promotions += other.promotions;
+        demotions += other.demotions;
+        return *this;
+    }
+
     double
     HitRatio() const
     {

@@ -95,25 +95,6 @@ class FlushQueue
     }
 
     /**
-     * As DequeueClaim, but claims only entries with priority ≤ `ceiling`
-     * (finite — never the deferred ∞ bucket). Used by the cooperative
-     * flush path: a gate-blocked trainer claims exactly the entries
-     * blocking its gate, leaving later-step and deferred entries in
-     * place so they keep accumulating writes for the flush threads to
-     * coalesce. The base implementation falls back to an unbounded
-     * claim — correct (the ≤ ceiling entries come first in priority
-     * order) but without the batching-preserving restraint.
-     */
-    virtual std::size_t
-    DequeueClaimBelow(std::vector<ClaimTicket> &out,
-                      std::size_t max_entries, std::size_t shard_hint,
-                      Step ceiling)
-    {
-        (void)ceiling;
-        return DequeueClaim(out, max_entries, shard_hint);
-    }
-
-    /**
      * Completion callback: the flush thread finished applying the claimed
      * entry's writes to host memory. Retires the in-flight count raised
      * by exactly this ticket's claim. Must be called exactly once per

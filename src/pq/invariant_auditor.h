@@ -13,9 +13,9 @@
  *  2. **Claim floor / monotone priority** — a dequeued claim never
  *     carries a finite priority below the scan floor (the current
  *     training step): once the gate admitted step s, nothing below s
- *     may ever surface again. With `expect_sorted_batches` (TwoLevelPQ,
- *     whose dequeue scans the priority index forward) each claim batch
- *     must additionally be non-decreasing.
+ *     may ever surface again. Each claim batch must additionally be
+ *     non-decreasing (TwoLevelPQ's dequeue scans the priority index
+ *     forward).
  *  3. **Step monotonicity** — step boundaries arrive exactly in
  *     sequence 0, 1, 2, …
  *  4. **Queue accounting** — delegated to FlushQueue::AuditInvariants
@@ -49,16 +49,7 @@ class GEntryRegistry;
 class InvariantAuditor
 {
   public:
-    struct Options
-    {
-        /** Claim batches must be non-decreasing in priority (true for
-         *  TwoLevelPQ's forward index scan; false for TreeHeapPQ,
-         *  where a racing insert may legally land mid-batch). */
-        bool expect_sorted_batches = true;
-    };
-
     InvariantAuditor() = default;
-    explicit InvariantAuditor(const Options &options) : options_(options) {}
 
     InvariantAuditor(const InvariantAuditor &) = delete;
     InvariantAuditor &operator=(const InvariantAuditor &) = delete;
@@ -100,7 +91,6 @@ class InvariantAuditor
     void RecordViolation(const std::string &what);
     void BumpChecks(std::uint64_t n);
 
-    Options options_;
     model_atomic<std::int64_t> last_step_{-1};
     model_atomic<std::uint64_t> checks_{0};
     model_atomic<std::uint64_t> violations_{0};

@@ -103,10 +103,17 @@ class TwoLevelPQ final : public FlushQueue
     std::size_t DequeueClaim(std::vector<ClaimTicket> &out,
                              std::size_t max_entries,
                              std::size_t shard_hint) override;
+    /**
+     * As DequeueClaim, but claims only entries with priority ≤ `ceiling`
+     * (finite — never the deferred ∞ bucket). Used by the cooperative
+     * flush path: a gate-blocked trainer claims exactly the entries
+     * blocking its gate, leaving later-step and deferred entries in
+     * place so they keep accumulating writes for the flush threads to
+     * coalesce.
+     */
     std::size_t DequeueClaimBelow(std::vector<ClaimTicket> &out,
                                   std::size_t max_entries,
-                                  std::size_t shard_hint,
-                                  Step ceiling) override;
+                                  std::size_t shard_hint, Step ceiling);
     void OnFlushed(const ClaimTicket &ticket) override;
     void Unenqueue(GEntry *entry, Priority priority)
         FRUGAL_REQUIRES(entry->lock()) override;

@@ -29,6 +29,7 @@ Engine::ResetParameters()
     // Stateful optimizers (Adagrad) restart from zero accumulators.
     optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate,
                                config_.key_space, config_.dim);
+    resume_cursor_ = 0;
 }
 
 std::optional<Step>
@@ -56,6 +57,7 @@ Engine::ResumeFrom(const std::string &path)
                     "reset to initial parameters");
         return std::nullopt;
     }
+    resume_cursor_ = extras.next_step;
     return extras.next_step;
 }
 

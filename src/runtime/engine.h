@@ -81,28 +81,24 @@ struct EngineConfig
     /** Entries claimed per dequeue (batched dequeue, §3.4). */
     std::size_t flush_batch = 8;
 
-    /** Dequeue shards per PQ bucket (FrugalEngine + TwoLevelPQ only):
+    /** Dequeue shards per PQ bucket (FrugalEngine only):
      *  each flush thread drains its own shard first, so concurrent
      *  dequeues scan disjoint slot sets. 0 = one shard per flush
      *  thread; 1 = the unsharded legacy layout. */
     std::size_t pq_shards = 0;
 
-    /** Update staging queue capacity, in per-(step, GPU) batches (each
-     *  batch carries one trace GPU's whole step of gradients). */
-    std::size_t staging_capacity = 1 << 15;
-
     /**
-     * Backpressure bound on the update staging queue, in batches
-     * (FrugalEngine only). 0 = legacy behaviour: the queue is sized by
-     * `staging_capacity`, which is large enough that trainers never
-     * block. Non-zero replaces that size with a hard bound: a trainer
+     * Update staging queue capacity, in per-(step, GPU) batches (each
+     * batch carries one trace GPU's whole step of gradients). The
+     * default is large enough that trainers never block. A trainer
      * whose push finds the queue full *throttles* (timed PushFor loop,
      * counted per trainer in RunReport::overload) until the flush tier
-     * catches up — a slow flush tier slows trainers down instead of
-     * growing RSS without limit. Liveness is preserved because every
-     * consumer (drainer) keeps draining regardless of the bound.
+     * catches up, so a small capacity is a backpressure bound: a slow
+     * flush tier slows trainers down instead of growing RSS without
+     * limit. Liveness is preserved because the drainer keeps draining
+     * regardless of the bound.
      */
-    std::size_t update_queue_cap = 0;
+    std::size_t staging_capacity = 1 << 15;
 
     /**
      * Optional memory-pressure monitor (FrugalEngine only); the caller
@@ -131,13 +127,6 @@ struct EngineConfig
      *  are counted in the report (tests assert zero). */
     bool audit_consistency = false;
 
-    /** Use the TreeHeap baseline PQ instead of the two-level PQ
-     *  (FrugalEngine only; Exp #4). */
-    bool use_tree_heap = false;
-
-    /** Disable scan-range compression (ablation; FrugalEngine only). */
-    bool disable_scan_compression = false;
-
     /**
      * UNSAFE ablation: skip the P²F gate's PQ check, turning training
      * asynchronous — reads may observe parameters with unflushed
@@ -165,22 +154,14 @@ struct EngineConfig
      */
     int host_gather_ns = 0;
 
-    /**
-     * Optional armed fault injector (FrugalEngine only); the caller
-     * owns it and keeps it alive across Run. Plans containing
-     * kFlushThreadDeath rules require `watchdog` — only the watchdog
-     * reclaims abandoned claims, so without it the run would hang.
-     */
+    /** Optional armed fault injector (FrugalEngine only); the caller
+     *  owns it and keeps it alive across Run. */
     FaultInjector *fault_injector = nullptr;
 
-    /** Run the stall watchdog alongside the pipeline (FrugalEngine). */
-    bool watchdog = true;
+    /** Sampling period and no-progress deadline of the stall watchdog
+     *  that runs alongside the pipeline (FrugalEngine). */
     int watchdog_poll_ms = 10;
     int watchdog_stall_ms = 2000;
-
-    /** Max attempts for one transiently failing host-table write; the
-     *  flush thread backs off exponentially between attempts. */
-    int write_retry_limit = 12;
 
     /**
      * Take a consistent checkpoint every N steps (0 = never). The
@@ -190,10 +171,6 @@ struct EngineConfig
      */
     std::size_t checkpoint_every_steps = 0;
     std::string checkpoint_path;
-
-    /** Global step number of the trace's first step (resumed runs
-     *  replay a suffix; the cursor stored in checkpoints is global). */
-    Step step_offset = 0;
 
     /** Per-GPU cache capacity in rows implied by the ratio. */
     std::size_t
@@ -269,13 +246,16 @@ class Engine
     const HostEmbeddingTable &table() const { return *table_; }
     Optimizer &optimizer() { return *optimizer_; }
 
-    /** Restores initial parameters (and optimizer state) for a rerun. */
+    /** Restores initial parameters (and optimizer state) for a rerun
+     *  and clears the resume cursor. */
     void ResetParameters();
 
     /**
      * Restores a mid-training checkpoint (table rows, optimizer state,
      * trace cursor) saved by a checkpoint barrier. Validates that the
      * file's optimizer matches this engine's before touching anything.
+     * The cursor is kept as the global step of the next Run's first
+     * trace step, so that run's own checkpoints store global cursors.
      * @return the global step the resumed run should execute first, or
      *         nullopt if the checkpoint is missing/corrupt/mismatched
      *         (engine state is untouched).
@@ -287,6 +267,8 @@ class Engine
     std::unique_ptr<HostEmbeddingTable> table_;
     std::unique_ptr<Optimizer> optimizer_;
     KeyOwnership ownership_;
+    /** Global step of the next Run's first trace step (ResumeFrom). */
+    Step resume_cursor_ = 0;
 };
 
 /** Builds an engine by name: "frugal", "frugal-sync", "cached",

@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/blocking_queue.h"
 #include "common/cacheline.h"
@@ -22,7 +23,6 @@
 #include "pq/g_entry_registry.h"
 #include "pq/invariant_auditor.h"
 #include "pq/pq_ops.h"
-#include "pq/tree_heap_pq.h"
 #include "pq/two_level_pq.h"
 #include "runtime/watchdog.h"
 #include "table/checkpoint.h"
@@ -40,17 +40,16 @@ namespace {
  */
 constexpr std::uint64_t kGatherSleepQuantumNs = 100'000;
 
+/** Attempts for one transiently failing host-table write; the applying
+ *  thread backs off exponentially between them. */
+constexpr int kHostWriteAttempts = 13;
+
 /**
  * One message in the update staging queue: everything one trace GPU
- * produced in one step, as a unit.
- *
- * The old pipeline staged one heap-allocated message (with its own
- * vector<float>) per key plus an end marker per (step, GPU); the
- * staging queue paid a lock round-trip and an allocation per
- * parameter. A batch carries the whole key list and one contiguous
- * gradient buffer, and — because a trainer emits everything for
- * (step, src) at once — the batch itself IS the end marker: a step is
- * complete when n_gpus batches for it arrived.
+ * produced in one step — the key list and one contiguous gradient
+ * buffer. Because a trainer emits everything for (step, src) at once,
+ * the batch itself IS the end marker: a step is complete when n_gpus
+ * batches for it arrived.
  */
 struct UpdateBatch
 {
@@ -73,57 +72,6 @@ struct RowRef
     std::uint32_t row;
 };
 
-/**
- * Per-trainer hot-loop counters, folded into the shared atomics right
- * before each step-barrier arrival. The trainer loop previously bumped
- * shared atomics per key; with several trainers that is pure cache-line
- * ping-pong. CacheAligned keeps neighbouring trainers' slots off each
- * other's lines.
- */
-struct TrainerLocalStats
-{
-    std::uint64_t host_reads = 0;
-    std::uint64_t updates_emitted = 0;
-    std::uint64_t gate_waits = 0;
-    /** Pushes that found the bounded staging queue full (backpressure). */
-    std::uint64_t throttle_events = 0;
-    /** Nanoseconds spent blocked on backpressure. */
-    std::uint64_t throttle_wait_ns = 0;
-};
-
-/**
- * One flush thread's crash-recovery slot. The *claim ledger* mirrors
- * the tickets the thread has dequeued but not yet flushed: claims are
- * invisible to the queue (that is the point of claiming), so without
- * the ledger a dying flush thread would take its in-flight work to the
- * grave and the gate would never open again. The watchdog reads `dead`
- * ledgers, reclaims their tickets, and respawns the thread.
- *
- * The slot lock guards only the ticket vector and is a designed leaf
- * (rank kRecoverySlot, below kGEntry): bookkeeping happens strictly
- * before or after a flush, never around it, so the watchdog can sample
- * ledgers without ever waiting on a wedged flush thread.
- */
-struct FlusherSlot
-{
-    explicit FlusherSlot(std::size_t slot_index) : index(slot_index) {}
-
-    const std::size_t index;
-    Spinlock lock{LockRank::kRecoverySlot};
-    std::vector<ClaimTicket> claimed FRUGAL_GUARDED_BY(lock);
-    /** Set by the thread itself on injected death (definitive). */
-    std::atomic<bool> dead{false};
-    /** True while a dequeued batch is being processed. */
-    std::atomic<bool> busy{false};
-    /** Flush lag (staging→commit seconds) of runs this slot applied.
-     *  tsa-exempt: written only by the slot's own thread; the engine
-     *  merges it after joining every flusher. */
-    Histogram lag;
-    // tsa-exempt: set before the thread starts, joined by the engine's
-    // wind-down; never touched under `lock`.
-    std::thread thread;
-};
-
 double
 Seconds(std::chrono::steady_clock::time_point a,
         std::chrono::steady_clock::time_point b)
@@ -131,534 +79,303 @@ Seconds(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-}  // namespace
-
-RunReport
-FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
-                  const StepHook &step_hook)
+/**
+ * Flush lag (staging→commit seconds) of the entry runs one thread
+ * applies, sampled 1 in 16: a steady_clock read plus a log-bucket
+ * histogram insert per run is measurable against these micro-second
+ * apply times. Merged into RunReport::flush_lag after the joins.
+ */
+struct LagSampler
 {
-    const Step n_steps = trace.NumSteps();
-    const std::uint32_t n_gpus = config_.n_gpus;
-    FRUGAL_CHECK_MSG(trace.n_gpus() == n_gpus,
-                     "trace built for " << trace.n_gpus()
-                                        << " GPUs, engine has " << n_gpus);
-    FRUGAL_CHECK_MSG(trace.key_space() <= config_.key_space,
-                     "trace key space exceeds the table");
+    Histogram hist{};
+    std::size_t tick = 0;
 
-    FaultInjector *const injector = config_.fault_injector;
-    if (injector != nullptr) {
-        // Flush-thread deaths park claims in the slot ledgers; only the
-        // watchdog reclaims those, so without it the run would hang.
-        FRUGAL_CHECK_MSG(
-            !injector->plan().HasRuleFor(FaultSite::kFlushThreadDeath) ||
-                config_.watchdog,
-            "flush-thread-death fault plans require the watchdog");
-        FRUGAL_CHECK_MSG(
-            !injector->plan().HasRuleFor(FaultSite::kTrainerDeath) ||
-                n_gpus >= 2,
-            "trainer-death fault plans require at least 2 GPUs");
+    void
+    Record(std::chrono::steady_clock::time_point staged)
+    {
+        if ((tick++ & 0xf) == 0)
+            hist.Add(Seconds(staged, std::chrono::steady_clock::now()));
+    }
+};
+
+/** One trainer's private state, kept in a CacheAligned slot so no two
+ *  trainers write one cache line; the report sums the slots after the
+ *  joins. */
+struct TrainerSlot
+{
+    std::uint64_t host_reads = 0;
+    std::uint64_t gate_waits = 0;
+    /** Pushes that found the bounded staging queue full (backpressure). */
+    std::uint64_t throttle_events = 0;
+    /** Time spent blocked on backpressure. */
+    double throttle_wait_seconds = 0.0;
+    double stall_seconds = 0.0;
+    StatAccumulator stall;
+    /** Cooperative-flush applies (flusher slots hold their own). */
+    LagSampler lag;
+    /** Simulated-PCIe debt for demand gathers (Pipeline::ChargeGather). */
+    std::uint64_t gather_debt_ns = 0;
+    // Gather scratch, reused across steps.
+    std::vector<float> values;
+    std::vector<Key> miss_keys;
+    std::vector<float *> miss_outs;
+    /** Indices (into the step's key list) of owned cache misses. */
+    std::vector<std::size_t> owned_miss;
+    /** Claim buffer for cooperative flushing at the gate. */
+    std::vector<ClaimTicket> assist;
+};
+
+/**
+ * One flush thread's crash-recovery slot. The *claim ledger* mirrors
+ * the batch the thread is applying: claims are invisible to the queue
+ * (that is the point of claiming), so without the ledger a dying flush
+ * thread would take its in-flight work to the grave and the gate would
+ * never open again. The thread publishes its key-sorted batch before
+ * applying it and advances `retired` after each entry run, so a dead
+ * thread's unapplied tickets are exactly the suffix past `retired`;
+ * the watchdog reclaims that suffix and respawns the thread.
+ *
+ * The slot lock guards only the ledger and is a designed leaf (rank
+ * kRecoverySlot, below kGEntry): bookkeeping happens strictly before or
+ * after an entry run, never around it, so the watchdog can sample
+ * ledgers without ever waiting on a wedged flush thread.
+ */
+struct FlusherSlot
+{
+    explicit FlusherSlot(std::size_t slot_index) : index(slot_index) {}
+
+    /** Tickets published but not yet applied and retired. */
+    std::size_t
+    Outstanding() const FRUGAL_REQUIRES(lock)
+    {
+        return claimed.size() - retired;
     }
 
-    // --- run-scoped shared state -------------------------------------
-    std::unique_ptr<FlushQueue> queue;
-    if (config_.use_tree_heap) {
-        queue = std::make_unique<TreeHeapPQ>();
-    } else {
-        TwoLevelPQConfig pq_config;
-        pq_config.max_step = n_steps;  // priorities are read steps < S
-        pq_config.n_shards =
-            config_.pq_shards != 0
-                ? config_.pq_shards
-                : std::max<std::size_t>(1, config_.flush_threads);
-        auto two_level = std::make_unique<TwoLevelPQ>(pq_config);
-        if (config_.disable_scan_compression)
-            two_level->setScanCompression(false);
-        queue = std::move(two_level);
+    const std::size_t index;
+    Spinlock lock{LockRank::kRecoverySlot};
+    std::vector<ClaimTicket> claimed FRUGAL_GUARDED_BY(lock);
+    std::size_t retired FRUGAL_GUARDED_BY(lock) = 0;
+    /** Set by the thread itself on injected death (definitive). */
+    std::atomic<bool> dead{false};
+    /** True while a dequeued batch is being processed. */
+    std::atomic<bool> busy{false};
+    // tsa-exempt: written only by the slot's own thread; the engine
+    // merges it after joining every flusher.
+    LagSampler lag;
+    // tsa-exempt: set before the thread starts, joined by the engine's
+    // wind-down; never touched under `lock`.
+    std::thread thread;
+};
+
+/**
+ * The gate's wakeup channel. Trainers, the prefetcher and the
+ * checkpoint barrier park on the one condition variable; every producer
+ * of gate progress (frontier advance, drained step, applied flush, step
+ * boundary, pressure transition) nudges it. Waits are timed because a
+ * recovery path can lose a wakeup.
+ */
+struct GateSignal
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+
+    void
+    Nudge()
+    {
+        // Taking the mutex orders the notify after any waiter's
+        // predicate check.
+        { std::lock_guard<std::mutex> lock(mutex); }
+        cv.notify_all();
     }
 
-    GEntryRegistry registry(64, config_.key_space);
-    if (injector != nullptr) {
-        // Arm the container growth fault points (kAllocFailure). Plans
-        // without a rule for that site see zero behaviour change.
-        registry.ArmFaultInjector(injector);
+    template <typename Duration, typename Predicate>
+    bool
+    WaitFor(Duration timeout, Predicate ready)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        return cv.wait_for(lock, timeout, ready);
     }
-    // Backpressure bound (update_queue_cap > 0) or the legacy
-    // effectively-unbounded size.
-    const std::size_t staging_cap = config_.update_queue_cap != 0
-                                        ? config_.update_queue_cap
-                                        : config_.staging_capacity;
-    BlockingQueue<UpdateBatch> staging(staging_cap);
-    std::vector<std::unique_ptr<GpuCache>> caches;
-    for (std::uint32_t g = 0; g < n_gpus; ++g) {
-        caches.push_back(std::make_unique<GpuCache>(
-            config_.CacheRowsPerGpu(), config_.dim,
-            config_.cache_options));
-    }
+};
 
-    // --- the next-use oracle (DESIGN.md §13) --------------------------
-    // The trace is fully materialized, so the future is known: build the
-    // per-key next-use index once (one backward pass) and drive cache
-    // warming, Belady-style eviction hints and dead-key reclamation
-    // from it. All step values below are trace-local indices — exactly
-    // the coordinates current_step and the prefetch frontier use.
-    const bool oracular = config_.oracular_prefetch;
-    NextUseIndex next_use;
-    if (oracular) {
-        next_use = trace.BuildNextUseIndex();
-        for (auto &cache : caches)
-            cache->SetEvictionHorizon(
-                static_cast<Step>(config_.lookahead));
-    }
-    // Warming is the first mechanism shed under memory pressure — it is
-    // pure opportunism (extra host gathers + cache inserts), so the
-    // monitor turns it off at kElevated before narrowing the lookahead
-    // window matters and long before caches shrink.
-    std::atomic<bool> warming_enabled{oracular};
+class Pipeline;
 
-    std::atomic<Step> prefetch_frontier{0};  // steps with R sets in place
-    std::atomic<Step> drained_steps{0};      // steps fully in g-entries
-    std::atomic<Step> current_step{0};
-    std::atomic<bool> drain_done{false};
-    std::atomic<bool> run_complete{false};
-    std::mutex gate_mutex;
-    std::condition_variable gate_cv;
-    auto nudge_gate = [&] {
-        { std::lock_guard<std::mutex> lock(gate_mutex); }
-        gate_cv.notify_all();
-    };
+/** The step barrier's completion: runs Pipeline::StepBoundary while
+ *  every trainer is parked in the barrier. */
+struct StepCompletion
+{
+    Pipeline *pipeline;
+    void operator()() noexcept;
+};
 
-    // Degraded-mode execution map: executor[g] is the trainer thread
-    // currently executing trace GPU g's work (identity while healthy;
-    // rewritten by the trainer-death recovery at a step boundary).
-    std::vector<std::atomic<GpuId>> executor(n_gpus);
-    std::vector<std::atomic<bool>> trainer_dead(n_gpus);
-    for (std::uint32_t g = 0; g < n_gpus; ++g) {
-        // relaxed: single-threaded setup before any thread is spawned.
-        executor[g].store(static_cast<GpuId>(g),
-                          std::memory_order_relaxed);
-        trainer_dead[g].store(false, std::memory_order_relaxed);
-    }
-
-    RunReport report;
-    report.engine = Name();
-    report.steps = n_steps;
-    report.n_gpus = n_gpus;
-    std::atomic<std::uint64_t> host_reads{0};
-    std::atomic<std::uint64_t> updates_emitted{0};
-    std::atomic<std::uint64_t> updates_applied{0};
-    std::atomic<std::uint64_t> entry_claims{0};
-    std::atomic<std::uint64_t> audit_violations{0};
-    std::atomic<std::uint64_t> gate_waits{0};
-    std::atomic<std::uint64_t> write_retries{0};
-    std::atomic<std::uint64_t> flusher_deaths{0};
-    std::atomic<std::uint64_t> flusher_respawns{0};
-    std::atomic<std::uint64_t> claims_reclaimed{0};
-    std::atomic<std::uint64_t> throttle_events{0};
-    std::atomic<std::uint64_t> throttle_wait_ns{0};
-    // Staging payload bytes currently queued (trainers add on push, the
-    // drainer subtracts on pop); feeds the kQueue pressure gauge.
-    std::atomic<std::size_t> staging_bytes{0};
-    // Degradation knobs, written by the pressure monitor and read on
-    // the prefetch/flush paths. They start at the configured values and
-    // only move on stage transitions.
-    std::atomic<std::size_t> effective_lookahead{config_.lookahead};
-    std::atomic<std::size_t> effective_flush_batch{config_.flush_batch};
-    std::atomic<std::uint64_t> cache_rows_shed{0};
-    std::atomic<std::uint64_t> late_warm_count{0};
-    std::atomic<std::uint64_t> warms_shed_count{0};
-    // Written only by the single-threaded barrier completion; read after
-    // the trainer joins, which provide the happens-before edge.
-    std::uint64_t trainer_death_count = 0;
-    std::uint64_t ownership_remap_count = 0;
-    std::uint64_t checkpoint_barriers = 0;
-    std::uint64_t checkpoint_retry_count = 0;
-    double checkpoint_pause_seconds = 0.0;
-    double checkpoint_save_seconds = 0.0;
-
-#if FRUGAL_DCHECK_ENABLED
-    // The invariant auditor (§3.3 safety argument, machine-checked).
-    // Disarmed for the async ablation: disable_gate_unsafe *exists* to
-    // break the invariant, and its violations are reported through
-    // report.audit_violations instead of a shutdown panic.
-    InvariantAuditor::Options auditor_options;
-    auditor_options.expect_sorted_batches = !config_.use_tree_heap;
-    InvariantAuditor auditor(auditor_options);
-    const bool auditor_armed = !config_.disable_gate_unsafe;
-#endif
-
-    // End-of-step barrier; its completion runs single-threaded.
-    std::barrier step_barrier(
-        static_cast<std::ptrdiff_t>(n_gpus), [&]() noexcept {
-            // relaxed: the completion callback is the only writer and
-            // runs single-threaded between steps.
-            const Step s = current_step.load(std::memory_order_relaxed);
-            if (step_hook)
-                step_hook(s);
-#if FRUGAL_DCHECK_ENABLED
-            if (auditor_armed)
-                auditor.OnStepBoundary(s, *queue);
-#endif
-            // --- consistent checkpoint barrier --------------------
-            // All trainers are parked in the barrier, so no new updates
-            // can be produced: wait for the pipeline to drain (staging
-            // empties, the drainer registers step s's writes, flushers
-            // apply them all), then the host table + optimizer state IS
-            // the model as of the end of step s.
-            if (config_.checkpoint_every_steps > 0 &&
-                !config_.checkpoint_path.empty() &&
-                static_cast<std::size_t>(s + 1) %
-                        config_.checkpoint_every_steps ==
-                    0) {
-                const auto pause_start = std::chrono::steady_clock::now();
-                auto quiescent = [&] {
-                    return drained_steps.load(std::memory_order_acquire) >=
-                               s + 1 &&
-                           staging.size() == 0 &&
-                           queue->SizeApprox() == 0 &&
-                           // relaxed: trainers are parked in this
-                           // barrier, so emitted is frozen; only
-                           // applied needs to synchronize.
-                           updates_applied.load(
-                               std::memory_order_acquire) >=
-                               updates_emitted.load(
-                                   std::memory_order_relaxed);
-                };
-                {
-                    std::unique_lock<std::mutex> lock(gate_mutex);
-                    while (!quiescent()) {
-                        gate_cv.wait_for(lock,
-                                         std::chrono::milliseconds(1));
-                    }
-                }
-                const auto save_start = std::chrono::steady_clock::now();
-                CheckpointExtras extras;
-                extras.optimizer_name = optimizer_->Name();
-                extras.optimizer_state = optimizer_->ExportState();
-                extras.next_step = config_.step_offset + s + 1;
-                // Unified retry policy (common/retry.h): transient
-                // checkpoint failures (injected I/O errors, torn
-                // writes) get a few backed-off attempts before the
-                // barrier gives up. The previous checkpoint survives
-                // either way — the tmp-file + rename protocol never
-                // touches it until a replacement is durable.
-                RetryPolicy ckpt_policy;
-                ckpt_policy.max_attempts = 3;
-                ckpt_policy.initial_backoff =
-                    std::chrono::microseconds(100);
-                ckpt_policy.max_backoff = std::chrono::microseconds(2000);
-                const RetryOutcome saved = RetryWithBackoff(
-                    ckpt_policy, static_cast<std::uint64_t>(s), [&] {
-                        if (SaveCheckpoint(*table_, extras,
-                                           config_.checkpoint_path,
-                                           injector)) {
-                            return true;
-                        }
-                        ++checkpoint_retry_count;
-                        return false;
-                    });
-                if (!saved.ok()) {
-                    FRUGAL_WARN("checkpoint barrier after step "
-                                << s << " failed to persist ("
-                                << saved.attempts
-                                << " attempts); training continues");
-                }
-                ++checkpoint_barriers;
-                const auto save_end = std::chrono::steady_clock::now();
-                checkpoint_pause_seconds += Seconds(pause_start,
-                                                    save_start);
-                checkpoint_save_seconds += Seconds(save_start, save_end);
+/**
+ * One FrugalEngine::Run: the run's shared state plus one method per
+ * stage of Fig. 5 — trainer (gate, gather, emit), prefetcher, drainer,
+ * flush worker — and the step boundary, pressure monitor, watchdog
+ * callbacks and report. FrugalEngine::Run starts the threads on these
+ * methods and joins them. Cross-thread state is atomic, behind the gate
+ * signal or a slot lock, or confined to one thread as its comment says.
+ */
+class Pipeline
+{
+  public:
+    Pipeline(const EngineConfig &config, HostEmbeddingTable &table,
+             Optimizer &optimizer, KeyOwnership &ownership,
+             Step first_step, const Trace &trace, const GradFn &grad_fn,
+             const StepHook &step_hook)
+        : config_(config), table_(table), optimizer_(optimizer),
+          ownership_(ownership), first_step_(first_step), trace_(trace),
+          grad_fn_(grad_fn), step_hook_(step_hook), executor_(n_gpus_),
+          trainer_dead_(n_gpus_), trainers_(n_gpus_),
+          step_barrier_(static_cast<std::ptrdiff_t>(n_gpus_),
+                        StepCompletion{this}),
+          watchdog_(
+              Watchdog::Config{
+                  .poll = std::chrono::milliseconds(
+                      std::max(1, config.watchdog_poll_ms)),
+                  .stall_deadline = std::chrono::milliseconds(std::max(
+                      config.watchdog_poll_ms, config.watchdog_stall_ms))},
+              std::bind_front(&Pipeline::Snapshot, this),
+              std::bind_front(&Pipeline::Recover, this),
+              std::bind_front(&Pipeline::Diagnose, this))
+    {
+        if (injector_ != nullptr) {
+            // Arm the container growth fault points (kAllocFailure).
+            // Plans without a rule for that site see zero behaviour
+            // change.
+            registry_.ArmFaultInjector(injector_);
+        }
+        for (std::uint32_t g = 0; g < n_gpus_; ++g) {
+            caches_.push_back(std::make_unique<GpuCache>(
+                config.CacheRowsPerGpu(), config.dim,
+                config.cache_options));
+            if (oracular_) {
+                caches_.back()->SetEvictionHorizon(
+                    static_cast<Step>(config.lookahead));
             }
-            // --- trainer death → degraded mode --------------------
-            if (auto victim_payload =
-                    FaultPoint(injector, FaultSite::kTrainerDeath,
-                               static_cast<std::uint64_t>(s))) {
-                const GpuId victim =
-                    static_cast<GpuId>(*victim_payload % n_gpus);
-                std::uint32_t live = 0;
-                for (std::uint32_t i = 0; i < n_gpus; ++i) {
-                    // relaxed: only this single-threaded callback
-                    // writes the dead flags.
-                    live += trainer_dead[i].load(std::memory_order_relaxed)
-                                ? 0u
-                                : 1u;
-                }
-                if (trainer_dead[victim].load(std::memory_order_relaxed)) {
-                    FRUGAL_WARN("fault injection: trainer "
-                                << victim << " is already dead; ignored");
-                } else if (live < 2) {
-                    FRUGAL_WARN("fault injection: refusing to kill the "
-                                "last live trainer");
-                } else {
-                    GpuId successor = victim;
-                    for (std::uint32_t c = 0; c < n_gpus; ++c) {
-                        // relaxed: see the live count above.
-                        if (static_cast<GpuId>(c) != victim &&
-                            !trainer_dead[c].load(
-                                std::memory_order_relaxed)) {
-                            successor = static_cast<GpuId>(c);
-                            break;
-                        }
-                    }
-                    FRUGAL_WARN("fault injection: trainer "
-                                << victim << " dies after step " << s
-                                << "; degraded mode, successor "
-                                << successor);
-                    // Rewire execution and ownership before publishing
-                    // the death: a trainer that observes its dead flag
-                    // (acquire) must also observe the rewired map.
-                    for (std::uint32_t g = 0; g < n_gpus; ++g) {
-                        // relaxed: only this callback writes executor.
-                        if (executor[g].load(std::memory_order_relaxed) ==
-                            victim) {
-                            executor[g].store(successor,
-                                              std::memory_order_release);
-                        }
-                    }
-                    // The victim's cache is dropped, not migrated: its
-                    // rows are all committed (gate invariant), so the
-                    // successor re-fills from host memory on demand.
-                    caches[victim]->Clear();
-                    ownership_remap_count +=
-                        ownership_.Remap(victim, successor);
-                    trainer_dead[victim].store(true,
-                                               std::memory_order_release);
-                    ++trainer_death_count;
-                }
-            }
-            // --- dead-key reclamation + eviction-horizon advance ----
-            // Step s is complete on every trainer, so a key whose last
-            // reader is s will never be read again: drop its cached row
-            // now (zero cost — the cache is write-through). A flush for
-            // such a key may still be in flight, but its cache-refresh
-            // side is harmless: UpdateIfPresent on the evicted key is a
-            // no-op and the flush-side warm skips keys with no next use
-            // inside the window.
-            if (oracular) {
-                for (const Key key : next_use.DeadAfter(s))
-                    caches[ownership_.OwnerOf(key)]->EvictIfDead(key);
-                const Step horizon =
-                    s + 1 +
-                    // relaxed: degradation knob; any recent value is
-                    // acceptable for a scan-policy boundary.
-                    static_cast<Step>(effective_lookahead.load(
-                        std::memory_order_relaxed));
-                for (auto &cache : caches)
-                    cache->SetEvictionHorizon(horizon);
-            }
-            current_step.store(s + 1, std::memory_order_release);
-            { std::lock_guard<std::mutex> lock(gate_mutex); }
-            gate_cv.notify_all();
-        });
+            // relaxed: single-threaded setup before any thread is
+            // spawned.
+            executor_[g].store(static_cast<GpuId>(g),
+                               std::memory_order_relaxed);
+        }
+        for (std::size_t f = 0; f < config.flush_threads; ++f)
+            flusher_slots_.push_back(std::make_unique<FlusherSlot>(f));
+    }
 
-    const auto run_start = std::chrono::steady_clock::now();
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
 
-    // --- prefetch thread (the sample queue, §3.2) ---------------------
-    std::thread prefetcher([&] {
+    /** Starts every flush thread, then the watchdog that reclaims and
+     *  respawns dead ones. */
+    void
+    StartFlushWorkers()
+    {
+        for (auto &slot : flusher_slots_)
+            slot->thread = std::thread(&Pipeline::FlushWorker, this,
+                                       slot.get());
+        watchdog_.Start();
+    }
+
+    /**
+     * The sample queue (§3.2): registers each step's R sets up to the
+     * effective lookahead ahead of training, advances the prefetch
+     * frontier, and (oracular) warms the owner caches for the step.
+     *
+     * Wake hysteresis: parking per advanced step costs one futex round
+     * trip per training step. Sleep until a burst of headroom (half the
+     * lookahead window) has opened, then register every available step
+     * before re-parking — same RegisterRead stream, a fraction of the
+     * wakeups. The burst tracks the *effective* lookahead: under
+     * memory-pressure degradation the window can shrink to 1, and a
+     * burst sized off the configured window would then demand headroom
+     * that never opens (livelock).
+     */
+    void
+    Prefetcher()
+    {
         std::vector<GEntry *> resolved;
-        // Warm scratch: the subset of a future step's keys owned by the
-        // thread that will execute them, plus their hints.
-        std::vector<Key> warm_keys;
-        std::vector<Step> warm_hints;
-        // Oracular warming for one registered step: gather the rows the
-        // step will read from the host table in batches and insert them
-        // cold into the owner GPU's cache (GpuCache::WarmBatch — stamped
-        // two-phase, so a racing flush always wins). Runs strictly
-        // *after* the frontier advance + gate nudge of its step: warming
-        // is opportunistic and must never delay the gate.
-        // Simulated-PCIe debt for warm gathers (see EngineConfig::
-        // host_gather_ns): paid as sleeps, so on an oversubscribed host
-        // the prefetcher yields instead of stealing trainer cycles —
-        // the DMA-latency-hiding the warm path exists to model.
+        // Simulated-PCIe debt for warm gathers: paid as sleeps, so on an
+        // oversubscribed host the prefetcher yields instead of stealing
+        // trainer cycles — the DMA-latency-hiding the warm path exists
+        // to model.
         std::uint64_t gather_debt_ns = 0;
-        auto warm_step = [&](Step target) {
-            for (std::uint32_t g = 0; g < n_gpus; ++g) {
-                // Only keys the executing trainer owns are cacheable on
-                // its GPU (non-owned keys use the zero-copy host path).
-                const GpuId dst =
-                    executor[g].load(std::memory_order_acquire);
-                const std::vector<Key> &keys = trace.KeysFor(target, g);
-                warm_keys.clear();
-                warm_hints.clear();
-                for (const Key key : keys) {
-                    if (ownership_.OwnerOf(key) == dst) {
-                        // alloc-ok: scratch capacity amortizes across
-                        // steps; warming is off the critical path.
-                        warm_keys.push_back(key);
-                        // The row's next read *from now* is the target
-                        // step itself; the trainer's hinted TryGet
-                        // refreshes it to the post-target next use.
-                        warm_hints.push_back(target);
-                    }
-                }
-                if (warm_keys.empty())
-                    continue;
-                caches[dst]->WarmBatch(
-                    warm_keys.data(), warm_hints.data(), warm_keys.size(),
-                    [&](const Key *fill, std::size_t m, float *rows) {
-                        table_->ReadRows(fill, m, rows);
-                        gather_debt_ns +=
-                            m * static_cast<std::uint64_t>(
-                                    std::max(0, config_.host_gather_ns));
-                    });
-                if (gather_debt_ns >= kGatherSleepQuantumNs) {
-                    // retry-exempt: simulated PCIe latency, not a retry
-                    // backoff.
-                    std::this_thread::sleep_for(
-                        std::chrono::nanoseconds(gather_debt_ns));
-                    gather_debt_ns = 0;
-                }
-            }
+        Step frontier = 0;  // only this thread advances the frontier
+        const auto lookahead = [&] {
+            // relaxed: degradation knob; any recent value is acceptable.
+            return static_cast<Step>(
+                effective_lookahead_.load(std::memory_order_relaxed));
         };
-        // Wake hysteresis: parking per advanced step costs one futex
-        // round trip per training step. Sleep until a burst of headroom
-        // (half the lookahead window) has opened, then register every
-        // available step before re-parking — same RegisterRead stream,
-        // a fraction of the wakeups. The burst tracks the *effective*
-        // lookahead: under memory-pressure degradation the window can
-        // shrink to 1, and a burst sized off the configured window
-        // would then demand headroom that never opens (livelock).
-        while (true) {
-            // relaxed: only the prefetcher itself advances the frontier,
-            // so its own prior store is always visible to it.
-            Step frontier = prefetch_frontier.load(std::memory_order_relaxed);
-            if (frontier >= n_steps)
-                return;
-            {
-                std::unique_lock<std::mutex> lock(gate_mutex);
-                auto can_prefetch = [&] {
-                    // relaxed: degradation knob; any recent value is
-                    // acceptable.
-                    const Step eff =
-                        static_cast<Step>(effective_lookahead.load(
-                            std::memory_order_relaxed));
-                    const Step limit = std::min<Step>(
-                        n_steps,
-                        current_step.load(std::memory_order_acquire) +
-                            eff);
-                    if (frontier >= limit)
-                        return false;
-                    // The final (partial) burst must not wait for
-                    // headroom the run will never produce.
-                    const Step burst = std::max<Step>(1, eff / 2);
-                    return frontier + burst <= limit || limit >= n_steps;
-                };
-                // Timed re-check: recovery paths can lose a wakeup; the
-                // deadline bounds any missed notify to one period.
-                while (!gate_cv.wait_for(lock,
-                                         std::chrono::milliseconds(50),
-                                         can_prefetch)) {
-                }
+        const auto window_end = [&](Step eff) {
+            return std::min<Step>(
+                n_steps_,
+                current_step_.load(std::memory_order_acquire) + eff);
+        };
+        const auto can_prefetch = [&] {
+            const Step eff = lookahead();
+            const Step limit = window_end(eff);
+            if (frontier >= limit)
+                return false;
+            // The final (partial) burst must not wait for headroom the
+            // run will never produce.
+            return frontier + std::max<Step>(1, eff / 2) <= limit ||
+                   limit >= n_steps_;
+        };
+        while (frontier < n_steps_) {
+            // Timed re-check: recovery paths can lose a wakeup; the
+            // deadline bounds any missed notify to one period.
+            while (!gate_.WaitFor(std::chrono::milliseconds(50),
+                                  can_prefetch)) {
             }
-            while (frontier < n_steps) {
-                const Step limit = std::min<Step>(
-                    n_steps,
-                    current_step.load(std::memory_order_acquire) +
-                        // relaxed: degradation knob (see above).
-                        static_cast<Step>(effective_lookahead.load(
-                            std::memory_order_relaxed)));
-                if (frontier >= limit)
-                    break;
-                for (std::uint32_t g = 0; g < n_gpus; ++g) {
+            while (frontier < window_end(lookahead())) {
+                for (std::uint32_t g = 0; g < n_gpus_; ++g) {
                     // Batched get-or-create: one registry shard-lock
                     // take per same-shard key run instead of one per
                     // key.
                     const std::vector<Key> &keys =
-                        trace.KeysFor(frontier, g);
+                        trace_.KeysFor(frontier, g);
                     resolved.resize(keys.size());
-                    registry.GetOrCreateBatch(keys, resolved.data());
+                    registry_.GetOrCreateBatch(keys, resolved.data());
                     for (GEntry *entry : resolved)
-                        RegisterRead(*queue, *entry, frontier);
+                        RegisterRead(queue_, *entry, frontier);
                 }
-                const Step target = frontier;
-                ++frontier;
-                prefetch_frontier.store(frontier,
-                                        std::memory_order_release);
-                nudge_gate();
-                // Oracular warm, after the gate nudge (see warm_step).
-                // A step the trainers already reached is not worth
-                // gathering for — the demand path is serving it now.
+                const Step target = frontier++;
+                prefetch_frontier_.store(frontier,
+                                         std::memory_order_release);
+                gate_.Nudge();
+                // Oracular warm, strictly after the frontier advance and
+                // gate nudge: warming is opportunistic and must never
+                // delay the gate. A step the trainers already reached is
+                // not worth gathering for — the demand path is serving
+                // it now.
                 // relaxed: degradation flag; a stale read warms (or
                 // skips) one extra step, both harmless.
-                if (oracular &&
-                    warming_enabled.load(std::memory_order_relaxed)) {
-                    if (current_step.load(std::memory_order_acquire) >=
-                        target) {
-                        // relaxed: monotonic stat counter.
-                        late_warm_count.fetch_add(
-                            1, std::memory_order_relaxed);
-                    } else {
-                        warm_step(target);
-                    }
+                if (!oracular_ ||
+                    !warming_enabled_.load(std::memory_order_relaxed))
+                    continue;
+                if (current_step_.load(std::memory_order_acquire) >=
+                    target) {
+                    // relaxed: monotonic stat counter.
+                    late_warm_count_.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    WarmStep(target, &gather_debt_ns);
                 }
             }
         }
-    });
+    }
 
-    // --- staging drain thread -----------------------------------------
-    // Drainer-only scratch, reused across steps.
-    std::vector<RowRef> drain_order;
-    std::vector<Key> drain_keys;
-    std::vector<GEntry *> drain_entries;
-    // Registers a step that is complete everywhere: its R-set removals
-    // and W-set insertions are now safe. Each gradient row is copied from
-    // its staged batch straight into the g-entry's own row buffer, so
-    // registration allocates nothing per record.
-    auto register_step = [&](Step s, const std::vector<UpdateBatch> &batches) {
-        const std::size_t dim = config_.dim;
-        // Register in (key, src) order so a key's W records always
-        // *arrive* in canonical order — a flush may otherwise split one
-        // step's records for a key across two flushes and apply them in
-        // whatever order the GPUs happened to stage them.
-        drain_order.clear();
-        for (std::uint32_t b = 0; b < n_gpus; ++b) {
-            const std::vector<Key> &keys = *batches[b].keys;
-            for (std::uint32_t r = 0; r < keys.size(); ++r)
-                // alloc-ok: scratch capacity persists across steps.
-                drain_order.push_back(RowRef{keys[r], batches[b].src, b, r});
-        }
-        std::sort(drain_order.begin(), drain_order.end(),
-                  [](const RowRef &a, const RowRef &b) {
-                      return a.key != b.key ? a.key < b.key : a.src < b.src;
-                  });
-        // Consecutive refs with equal keys hit the same g-entry; resolve
-        // the step's whole (sorted, unique) key list in one batched
-        // registry call — one shard lock per same-shard run instead of
-        // one per key.
-        drain_keys.clear();
-        for (const RowRef &ref : drain_order) {
-            if (drain_keys.empty() || ref.key != drain_keys.back())
-                // alloc-ok: scratch capacity persists across steps.
-                drain_keys.push_back(ref.key);
-        }
-        // alloc-ok: scratch capacity persists across steps.
-        drain_entries.resize(drain_keys.size());
-        registry.GetOrCreateBatch(drain_keys, drain_entries.data());
-        // One stamp for the step's records: flush lag is measured from
-        // here, and the whole step registers in one pass.
-        const auto staged_at = std::chrono::steady_clock::now();
-        std::size_t run = 0;
-        for (const RowRef &ref : drain_order) {
-            if (ref.key != drain_keys[run])
-                ++run;  // drain_order and drain_keys sort identically
-            const float *grad = batches[ref.batch].grads.data() +
-                                static_cast<std::size_t>(ref.row) * dim;
-            RegisterUpdate(*queue, *drain_entries[run],
-                           WriteRecord{.step = s,
-                                       .src = ref.src,
-                                       .staged = staged_at},
-                           std::span<const float>(grad, dim));
-        }
-    };
-    std::thread drainer([&] {
-        std::vector<std::vector<UpdateBatch>> step_batches(n_steps);
+    /** The staging drain thread: collects each step's batches and
+     *  registers the step once all n_gpus of them arrived. */
+    void
+    Drainer()
+    {
+        std::vector<std::vector<UpdateBatch>> step_batches(n_steps_);
         while (true) {
             // Timed pop: a drain loop that can wake on its own never
             // hangs on a dead producer, and the watchdog can observe
             // staging_size while we are parked here.
-            auto popped = staging.PopBatchFor(
+            auto popped = staging_.PopBatchFor(
                 std::size_t{64}, std::chrono::milliseconds(100));
             if (popped.empty()) {
-                if (staging.closed())
+                if (staging_.closed())
                     break;  // closed and drained
                 continue;   // timed out; keep waiting
             }
@@ -666,19 +383,19 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 const Step s = incoming.step;
                 // relaxed: pressure gauge; the monitor tolerates skew
                 // against the trainers' increments.
-                staging_bytes.fetch_sub(
+                staging_bytes_.fetch_sub(
                     incoming.grads.size() * sizeof(float),
                     std::memory_order_relaxed);
                 step_batches[s].push_back(std::move(incoming));
-                if (step_batches[s].size() < n_gpus)
+                if (step_batches[s].size() < n_gpus_)
                     continue;
-                register_step(s, step_batches[s]);
+                RegisterStep(s, step_batches[s]);
                 step_batches[s].clear();
                 step_batches[s].shrink_to_fit();
-                drained_steps.store(s + 1, std::memory_order_release);
-                nudge_gate();
+                drained_steps_.store(s + 1, std::memory_order_release);
+                gate_.Nudge();
                 if (auto stall_ms = FaultPoint(
-                        injector, FaultSite::kStagingDrainStall,
+                        injector_, FaultSite::kStagingDrainStall,
                         static_cast<std::uint64_t>(s))) {
                     FRUGAL_WARN("fault injection: staging drain stalls "
                                 << *stall_ms << " ms after step " << s);
@@ -694,72 +411,816 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 }
             }
         }
-        drain_done.store(true, std::memory_order_release);
-        nudge_gate();
-    });
+        drain_done_.store(true, std::memory_order_release);
+        gate_.Nudge();
+    }
 
-    // --- flush threads (§3.4 parallel flushing + recovery slots) ------
-    auto await_host_write = [&](Key key) {
-        // Transient host-write failures retry under the unified policy
-        // (common/retry.h): bounded exponential backoff, 2 µs doubling
-        // to a 1 ms cap — the same envelope the old hand-rolled loop
-        // used. This runs under the g-entry lock, so a retry storm
-        // delays only this parameter's flush.
-        RetryPolicy policy;
-        policy.max_attempts = config_.write_retry_limit + 1;
-        policy.initial_backoff = std::chrono::microseconds(2);
-        policy.max_backoff = std::chrono::microseconds(1000);
-        const RetryOutcome outcome = RetryWithBackoff(
-            policy, static_cast<std::uint64_t>(key), [&] {
-                if (FaultPoint(injector, FaultSite::kHostWriteTransient,
-                               static_cast<std::uint64_t>(key))) {
-                    // relaxed: monotonic stat counter, read after joins.
-                    write_retries.fetch_add(1, std::memory_order_relaxed);
-                    return false;
+    /**
+     * One flush thread (§3.4 parallel flushing): claims the
+     * minimum-priority entries and applies them through ApplyClaims with
+     * its slot as the claim ledger. The watchdog respawns a dead thread
+     * on the same slot.
+     */
+    void
+    FlushWorker(FlusherSlot *slot)
+    {
+        // Consecutive zero-claim passes before the flusher stops
+        // yielding and naps between rescans.
+        constexpr std::size_t kParkAfterEmptyClaims = 2;
+        std::size_t empty_claims = 0;
+        // Idle nap; doubles (capped) while the queue stays dry, resets
+        // on a successful claim.
+        std::chrono::microseconds idle_sleep{500};
+        std::vector<ClaimTicket> claims;
+        while (true) {
+            if (queue_.SizeApprox() == 0) {
+                if (drain_done_.load(std::memory_order_acquire))
+                    return;
+                // Idle: flat self-wake, off the gate CV. The drainer's
+                // nudge is a notify_all; four flushers parked on it turn
+                // every drained step into a thundering herd whose losers
+                // wake, rescan and re-park. The gate-blocked trainer
+                // claims its own blockers (cooperative flush), so an
+                // idle flusher only needs to wake often enough to absorb
+                // later-step and deferred backlog.
+                // retry-exempt: idle self-wake, not a retry.
+                std::this_thread::sleep_for(idle_sleep);
+                idle_sleep = std::min(idle_sleep * 2,
+                                      std::chrono::microseconds(4000));
+                continue;
+            }
+            // The scan floor relies on the gate's invariant that nothing
+            // below the current step is pending; without the gate (async
+            // ablation) stale priorities survive below it, so the floor
+            // must stay at zero.
+            const Step floor =
+                config_.disable_gate_unsafe
+                    ? 0
+                    : current_step_.load(std::memory_order_acquire);
+            slot->busy.store(true, std::memory_order_release);
+            if (Claim(claims, slot->index, floor, kInfiniteStep) == 0) {
+                // Entries exist but are momentarily unclaimable
+                // (mid-publish or taken by a peer); back off briefly.
+                slot->busy.store(false, std::memory_order_release);
+                // Two-stage backoff: yield while the pipeline is merely
+                // between batches, then a flat sleep after a streak of
+                // empty claims. Everything visible is in flight on a
+                // peer — or on a gate-blocked trainer, which must not
+                // have to outrace a flusher for the work it is waiting
+                // on — so rescanning in-flight entries only burns
+                // timeslices the applying threads need.
+                if (++empty_claims < kParkAfterEmptyClaims) {
+                    std::this_thread::yield();
+                } else {
+                    // retry-exempt: contention backoff while peers hold
+                    // the claims, not a retry.
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(200));
                 }
-                return true;
-            });
-        FRUGAL_CHECK_MSG(outcome.ok(),
-                         "host-table write for key "
-                             << key << " still failing after "
-                             << outcome.attempts
-                             << " attempts; giving up (permanent "
-                                "failure, not transient)");
-    };
-    auto refresh_cache = [&](Key key) {
-        // "H2D": copy the committed row into the owner's cache. Also
-        // runs on the watchdog thread when reclaiming abandoned claims,
-        // hence the thread-local row buffer.
-        thread_local std::vector<float> row;
-        // alloc-ok: thread_local scratch; after the first call on each
-        // thread this resize never reallocates (dim is run-constant).
-        row.resize(config_.dim);
-        const GpuId owner = ownership_.OwnerOf(key);
-        table_->ReadRow(key, row.data());
-        // Flush-side warm: the caller holds the g-entry lock and this
-        // row is the freshly committed host value — if the key will be
-        // read again inside the lookahead window, cache it even when it
-        // was not resident (WarmOne update-or-cold-inserts). That turns
-        // the mandatory coherence write into a free prefetch for keys
-        // the prefetcher's batch warm skipped (they had pending writes
-        // then). Fully shed with warming under memory pressure.
-        // relaxed: degradation flag; a stale read warms one extra row.
-        if (oracular && warming_enabled.load(std::memory_order_relaxed)) {
-            const Step now =
-                current_step.load(std::memory_order_acquire);
-            const Step reuse = next_use.NextUseAfter(key, now);
-            const Step window =
-                now +
-                // relaxed: degradation knob; any recent value works.
-                static_cast<Step>(effective_lookahead.load(
-                    std::memory_order_relaxed));
-            if (reuse != NextUseIndex::kNever && reuse <= window) {
-                caches[owner]->WarmOne(key, row.data(), reuse);
+                continue;
+            }
+            empty_claims = 0;
+            idle_sleep = std::chrono::microseconds{500};
+            if (!ApplyClaims(claims, &slot->lag, slot))
+                return;  // injected death; the watchdog takes over
+            slot->busy.store(false, std::memory_order_release);
+            gate_.Nudge();
+        }
+    }
+
+    /**
+     * One trainer thread (Fig. 5). Each step: the P²F gate, then for
+     * every trace GPU this thread executes — just its own while
+     * healthy, plus a dead trainer's share in degraded mode — gather,
+     * model and emit, then the step barrier.
+     */
+    void
+    Trainer(GpuId t)
+    {
+        TrainerSlot &slot = *trainers_[t];
+        for (Step s = 0; s < n_steps_; ++s) {
+            if (trainer_dead_[t].load(std::memory_order_acquire)) {
+                // Injected death: leave the barrier for good. The early
+                // arrival completes this phase; later phases expect one
+                // fewer participant.
+                step_barrier_.arrive_and_drop();
                 return;
             }
+            WaitForGate(slot, t, s);
+            for (std::uint32_t tg = 0; tg < n_gpus_; ++tg) {
+                const GpuId g = static_cast<GpuId>(tg);
+                if (executor_[tg].load(std::memory_order_acquire) != t)
+                    continue;
+                const std::vector<Key> &keys = trace_.KeysFor(s, g);
+                if (config_.audit_consistency || kDcheckEnabled)
+                    AuditReads(keys, s);
+                Gather(slot, t, s, g);
+                // --- model (forward+backward) ---
+                UpdateBatch batch{.step = s,
+                                  .src = g,
+                                  .keys = &keys,
+                                  .grads = std::vector<float>(
+                                      keys.size() * config_.dim, 0.0f)};
+                grad_fn_(g, s, keys, slot.values, &batch.grads);
+                Emit(slot, std::move(batch));
+            }
+            step_barrier_.arrive_and_wait();
         }
-        caches[owner]->UpdateIfPresent(key, row.data());
-    };
+    }
+
+    /**
+     * Memory-pressure monitor (DESIGN.md §12.2): publishes the
+     * component byte gauges every period and applies staged
+     * degradation reactions on stage transitions.
+     */
+    void
+    PressureMonitor()
+    {
+        const auto poll =
+            std::chrono::milliseconds(std::max(1, config_.memory_poll_ms));
+        const std::size_t healthy_rows = config_.CacheRowsPerGpu();
+        PressureStage reacted = PressureStage::kNormal;
+        while (!monitor_stop_.load(std::memory_order_acquire)) {
+            budget_->Publish(MemoryComponent::kArena,
+                             registry_.ArenaBytes());
+            budget_->Publish(MemoryComponent::kFlatMap,
+                             registry_.IndexBytes());
+            std::size_t cache_total = 0;
+            for (const auto &cache : caches_)
+                cache_total += cache->MemoryBytes();
+            budget_->Publish(MemoryComponent::kCache, cache_total);
+            budget_->Publish(MemoryComponent::kQueue,
+                             // relaxed: gauge; skew tolerated.
+                             staging_bytes_.load(std::memory_order_relaxed));
+            const PressureStage stage = budget_->Evaluate();
+            if (stage != reacted) {
+                // Staged reactions. Oracular warming is pure optimism
+                // (extra host gathers + cold-end inserts), so it is the
+                // FIRST mechanism shed — at elevated, before the
+                // prefetch window narrows and long before caches shrink.
+                // Elevated also sheds the prefetch window (fewer R sets
+                // and staged batches in flight) and the flush coalescing
+                // width; critical additionally halves the GPU caches —
+                // safe at any moment because the cache is write-through,
+                // so eviction changes throughput, never table contents.
+                // Returning to normal restores every knob, including
+                // warming and the cache capacity.
+                std::size_t lookahead = config_.lookahead;
+                std::size_t flush_batch = config_.flush_batch;
+                std::size_t cache_rows = healthy_rows;
+                bool warm = oracular_;
+                if (stage == PressureStage::kElevated) {
+                    warm = false;
+                    lookahead =
+                        std::max<std::size_t>(1, config_.lookahead / 2);
+                    flush_batch = 1;
+                } else if (stage == PressureStage::kCritical) {
+                    warm = false;
+                    lookahead = 1;
+                    flush_batch = 1;
+                    cache_rows = std::max<std::size_t>(1, healthy_rows / 2);
+                }
+                // relaxed: degradation knobs; readers tolerate any
+                // recent value.
+                effective_lookahead_.store(lookahead,
+                                           std::memory_order_relaxed);
+                // relaxed: see above.
+                effective_flush_batch_.store(flush_batch,
+                                             std::memory_order_relaxed);
+                // relaxed: see above.
+                if (warming_enabled_.exchange(warm,
+                                              std::memory_order_relaxed) &&
+                    !warm) {
+                    // relaxed: monotonic stat counter.
+                    warms_shed_count_.fetch_add(1,
+                                                std::memory_order_relaxed);
+                }
+                std::uint64_t shed = 0;
+                for (const auto &cache : caches_) {
+                    if (cache->capacity() != cache_rows)
+                        shed += cache->Resize(cache_rows);
+                }
+                if (shed > 0) {
+                    // relaxed: monotonic stat counter.
+                    cache_rows_shed_.fetch_add(shed,
+                                               std::memory_order_relaxed);
+                }
+                FRUGAL_WARN("memory pressure: "
+                            << PressureStageName(reacted) << " -> "
+                            << PressureStageName(stage) << " ("
+                            << budget_->TotalBytes() << " of "
+                            << budget_->budget_bytes()
+                            << " budget bytes; warming "
+                            << (warm ? "on" : "shed") << ", lookahead "
+                            << lookahead << ", flush batch " << flush_batch
+                            << ", " << shed << " cache row(s) shed)");
+                reacted = stage;
+                // Every effective_lookahead change must nudge the gate
+                // CV — a prefetcher parked on a full window re-evaluates
+                // against the new bound.
+                gate_.Nudge();
+            }
+            // retry-exempt: monitor sampling period, not a retry backoff.
+            std::this_thread::sleep_for(poll);
+        }
+    }
+
+    /**
+     * The step boundary (barrier completion, single-threaded while every
+     * trainer is parked): step hook, invariant audit, checkpoint
+     * barrier, injected trainer death, dead-key sweep, and finally the
+     * step advance that reopens the gate.
+     */
+    void
+    StepBoundary() noexcept
+    {
+        // relaxed: the completion callback is the only writer and runs
+        // single-threaded between steps.
+        const Step s = current_step_.load(std::memory_order_relaxed);
+        if (step_hook_)
+            step_hook_(s);
+#if FRUGAL_DCHECK_ENABLED
+        if (auditor_armed_)
+            auditor_.OnStepBoundary(s, queue_);
+#endif
+        if (config_.checkpoint_every_steps > 0 &&
+            !config_.checkpoint_path.empty() &&
+            static_cast<std::size_t>(s + 1) %
+                    config_.checkpoint_every_steps ==
+                0) {
+            Checkpoint(s);
+        }
+        if (auto victim = FaultPoint(injector_, FaultSite::kTrainerDeath,
+                                     static_cast<std::uint64_t>(s)))
+            KillTrainer(static_cast<GpuId>(*victim % n_gpus_), s);
+        if (oracular_) {
+            // Dead-key reclamation: step s is complete on every
+            // trainer, so a key whose last reader is s will never be
+            // read again — drop its cached row now (zero cost, the cache
+            // is write-through). A flush for such a key may still be in
+            // flight, but its cache-refresh side is harmless:
+            // UpdateIfPresent on the evicted key is a no-op and the
+            // flush-side warm skips keys with no next use inside the
+            // window.
+            for (const Key key : next_use_.DeadAfter(s))
+                caches_[ownership_.OwnerOf(key)]->EvictIfDead(key);
+            const Step horizon =
+                s + 1 +
+                // relaxed: degradation knob; any recent value is
+                // acceptable for a scan-policy boundary.
+                static_cast<Step>(effective_lookahead_.load(
+                    std::memory_order_relaxed));
+            for (auto &cache : caches_)
+                cache->SetEvictionHorizon(horizon);
+        }
+        current_step_.store(s + 1, std::memory_order_release);
+        gate_.Nudge();
+    }
+
+    /** Every trainer has joined, so all updates are staged: close
+     *  staging so the drainer finishes, and wake a prefetcher parked on
+     *  the gate so teardown never waits out a 50 ms re-check slice. */
+    void
+    CloseStaging()
+    {
+        staging_.Close();
+        gate_.Nudge();
+    }
+
+    /**
+     * Recovery-aware wind-down, after the drainer and prefetcher
+     * joined: a flusher may die on the very last batch, after
+     * drain_done, so wait until every slot is quiet and all updates are
+     * applied while the watchdog keeps respawning dead slots and
+     * reclaiming their claims. The watchdog stops before the slots are
+     * joined so recovery can't touch a slot thread concurrently with
+     * the join; the pressure monitor is told to stop last.
+     */
+    void
+    WindDown()
+    {
+        run_complete_.store(true, std::memory_order_release);
+        const auto quiet = [&] {
+            if (!drain_done_.load(std::memory_order_acquire) ||
+                queue_.SizeApprox() != 0)
+                return false;
+            for (const auto &slot : flusher_slots_) {
+                if (slot->dead.load(std::memory_order_acquire) ||
+                    slot->busy.load(std::memory_order_acquire))
+                    return false;
+                SpinGuard guard(slot->lock);
+                if (slot->Outstanding() != 0)
+                    return false;
+            }
+            // relaxed: trainers are already joined, emitted is final;
+            // acquire on applied makes the flushed writes visible.
+            return updates_applied_.load(std::memory_order_acquire) >=
+                   updates_emitted_.load(std::memory_order_relaxed);
+        };
+        while (!quiet()) {
+            // retry-exempt: wind-down poll, not a retry backoff.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        watchdog_.Stop();
+        for (auto &slot : flusher_slots_) {
+            if (slot->thread.joinable())
+                slot->thread.join();
+        }
+        monitor_stop_.store(true, std::memory_order_release);
+    }
+
+    /** Folds every thread's counters into the run's report (all threads
+     *  are joined) and checks the end-of-run accounting. */
+    RunReport
+    Report(double wall_seconds)
+    {
+        RunReport &report = report_;
+        report.steps = n_steps_;
+        report.n_gpus = n_gpus_;
+        report.wall_seconds = wall_seconds;
+        for (const auto &cache : caches_)
+            report.cache += cache->stats();
+        report.prefetch.rows_warmed = report.cache.warm_inserts;
+        report.prefetch.warm_hits = report.cache.warm_hits;
+        report.prefetch.dead_evictions = report.cache.dead_evictions;
+        report.prefetch.late_warms = late_warm_count_.load();
+        report.prefetch.warms_shed = warms_shed_count_.load();
+        // Safe to read without the slot locks: every flusher thread is
+        // joined, which happens-after its last histogram write.
+        for (const auto &slot : flusher_slots_)
+            report.flush_lag.Merge(slot->lag.hist);
+        for (const auto &trainer : trainers_) {
+            report.flush_lag.Merge(trainer->lag.hist);
+            report.stall_per_step.Merge(trainer->stall);
+            report.stall_seconds_total += trainer->stall_seconds;
+            report.host_reads += trainer->host_reads;
+            report.gate_waits += trainer->gate_waits;
+            report.overload.throttle_events += trainer->throttle_events;
+            report.overload.throttle_wait_seconds +=
+                trainer->throttle_wait_seconds;
+        }
+        report.stall_seconds_total /= n_gpus_;
+        report.overload.cache_rows_shed = cache_rows_shed_.load();
+        report.updates_emitted = updates_emitted_.load();
+        report.updates_applied = updates_applied_.load();
+        report.flush_entry_claims = entry_claims_.load();
+        report.audit_violations = audit_violations_.load();
+        report.recovery.faults_injected =
+            injector_ != nullptr ? injector_->total_fires() : 0;
+        report.recovery.write_retries = write_retries_.load();
+        report.recovery.flusher_deaths = flusher_deaths_.load();
+        report.recovery.flusher_respawns = flusher_respawns_.load();
+        report.recovery.claims_reclaimed = claims_reclaimed_.load();
+        watchdog_.Harvest(&report.recovery);
+        if (budget_ != nullptr) {
+            report.overload.pressure_transitions = budget_->transitions();
+            report.overload.peak_stage = budget_->peak_stage();
+            report.overload.peak_tracked_bytes = budget_->peak_total_bytes();
+            report.final_pressure_stage = budget_->stage();
+        }
+
+        FRUGAL_CHECK_MSG(report.updates_applied == report.updates_emitted,
+                         "flush pipeline lost updates: emitted "
+                             << report.updates_emitted << ", applied "
+                             << report.updates_applied);
+        if (config_.audit_consistency) {
+            // Post-run: every g-entry fully drained.
+            registry_.ForEach([&](GEntry &entry) {
+                SpinGuard guard(entry.lock());
+                FRUGAL_CHECK(!entry.hasWritesLocked());
+                FRUGAL_CHECK(!entry.enqueuedLocked());
+            });
+        }
+#if FRUGAL_DCHECK_ENABLED
+        if (auditor_armed_) {
+            // Quiescent accounting: queue counters exactly drained,
+            // every g-entry back to the (W = ∅, dequeued, priority = ∞)
+            // state.
+            auditor_.OnQuiescent(queue_, registry_);
+            auditor_.ExpectClean();
+            FRUGAL_DEBUG("invariant auditor: " << auditor_.checks()
+                                               << " checks, 0 violations");
+        }
+#endif
+        return report;
+    }
+
+  private:
+    // --- trainer stages ------------------------------------------------
+
+    /**
+     * The P²F gate: step s starts once its R sets are registered, every
+     * earlier step is drained into g-entries, and no enqueued or
+     * in-flight entry has priority ≤ s (PQ.top() > s). Time spent here
+     * is the trainer's stall.
+     *
+     * Cooperative flushing: while the gate is shut by pending entries,
+     * the trainer applies them *itself* instead of parking and paying
+     * two context switches (wake a flusher, then get woken back) per
+     * step on the critical path. The claim protocol makes this safe —
+     * whoever wins the claim owns the flush — and ApplyClaims keeps the
+     * per-key order canonical no matter who applies. The trainer cannot
+     * die mid-assist (trainer death fires at step boundaries), so no
+     * claim ledger is needed.
+     */
+    void
+    WaitForGate(TrainerSlot &slot, GpuId t, Step s)
+    {
+        const auto gate_open = [&] {
+            return prefetch_frontier_.load(std::memory_order_acquire) > s &&
+                   drained_steps_.load(std::memory_order_acquire) >= s &&
+                   (config_.disable_gate_unsafe ||
+                    !queue_.HasPendingAtOrBelow(s));
+        };
+        const auto wait_start = std::chrono::steady_clock::now();
+        if (!gate_open()) {
+            ++slot.gate_waits;
+            // Fruitless passes before escalating from yield to a timed
+            // CV park.
+            constexpr std::size_t kAssistYields = 32;
+            std::size_t idle_passes = 0;
+            while (!gate_open()) {
+                // Bounded claim: only the entries blocking *this* gate
+                // (priority <= s). Later-step and deferred entries stay
+                // enqueued so their writes keep coalescing for the
+                // flush threads.
+                if (Claim(slot.assist, t,
+                          current_step_.load(std::memory_order_acquire),
+                          s) == 0) {
+                    // Nothing claimable: the gate waits on the
+                    // prefetcher/drainer, or the work is in flight on a
+                    // flusher. Yield first — on a machine with fewer
+                    // cores than threads that hands the timeslice
+                    // straight to whichever thread the gate is waiting
+                    // for, without a futex round trip — and only park
+                    // on the CV after a streak of fruitless passes.
+                    if (++idle_passes < kAssistYields)
+                        std::this_thread::yield();
+                    else
+                        gate_.WaitFor(std::chrono::microseconds(200),
+                                      gate_open);
+                    continue;
+                }
+                idle_passes = 0;
+                ApplyClaims(slot.assist, &slot.lag, nullptr);
+                gate_.Nudge();
+            }
+        }
+        const double stall =
+            Seconds(wait_start, std::chrono::steady_clock::now());
+        slot.stall_seconds += stall;
+        slot.stall.Add(stall);
+    }
+
+    /** Invariant (2) audit (audit_consistency and FRUGAL_DCHECK builds):
+     *  no parameter read at step s may have a pending (unflushed)
+     *  update from an earlier step. */
+    void
+    AuditReads(const std::vector<Key> &keys, [[maybe_unused]] Step s)
+    {
+        for (const Key key : keys) {
+            GEntry &entry = registry_.GetOrCreate(key);
+            bool pending = false;
+            {
+                SpinGuard guard(entry.lock());
+                pending = entry.hasWritesLocked();
+            }
+            if (!pending)
+                continue;
+            // relaxed: monotonic stat counter, read after joins.
+            audit_violations_.fetch_add(1, std::memory_order_relaxed);
+#if FRUGAL_DCHECK_ENABLED
+            if (auditor_armed_)
+                auditor_.OnReadViolation(key, s);
+#endif
+        }
+    }
+
+    /**
+     * Gather (forward) of trace GPU g's step-s rows into slot.values.
+     * Keys trainer t owns probe its cache — by *executing* trainer:
+     * after a remap the successor owns the dead GPU's shard, so its
+     * cache serves those keys too. Misses and non-owned keys (zero-copy
+     * UVA reads) come from host memory in one batched scatter call, and
+     * owned misses refill the cache.
+     */
+    void
+    Gather(TrainerSlot &slot, GpuId t, Step s, GpuId g)
+    {
+        const std::vector<Key> &keys = trace_.KeysFor(s, g);
+        const std::size_t dim = config_.dim;
+        // alloc-ok: scratch capacity persists across steps.
+        slot.values.resize(keys.size() * dim);
+        slot.miss_keys.clear();
+        slot.miss_outs.clear();
+        slot.owned_miss.clear();
+        // Oracular hint row: hints[i] is key i's next reading step
+        // strictly after s (kNever if none) — each hinted TryGet/Put
+        // refreshes the slot's next-use field so Belady eviction stays
+        // current.
+        const Step *hints =
+            oracular_ ? next_use_.HintRow(s, g).data() : nullptr;
+        GpuCache &cache = *caches_[t];
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const Key key = keys[i];
+            float *out = slot.values.data() + i * dim;
+            if (ownership_.OwnerOf(key) == t) {
+                if (hints ? cache.TryGet(key, out, hints[i])
+                          : cache.TryGet(key, out))
+                    continue;
+                // alloc-ok: scratch capacity persists across steps.
+                slot.owned_miss.push_back(i);
+            }
+            // alloc-ok: scratch capacity persists across steps.
+            slot.miss_keys.push_back(key);
+            slot.miss_outs.push_back(out);
+        }
+        if (slot.miss_keys.empty())
+            return;
+        table_.ReadRows(slot.miss_keys.data(), slot.miss_keys.size(),
+                        slot.miss_outs.data());
+        slot.host_reads += slot.miss_keys.size();
+        ChargeGather(&slot.gather_debt_ns, slot.miss_keys.size());
+        for (const std::size_t i : slot.owned_miss) {
+            const float *row = slot.values.data() + i * dim;
+            if (hints)
+                cache.Put(keys[i], row, hints[i]);
+            else
+                cache.Put(keys[i], row);
+        }
+    }
+
+    /**
+     * Stages one (step, trace GPU) batch. Bounded staging: PushFor
+     * consumes the batch only on success, so a full queue throttles the
+     * trainer in timed slices (backpressure) instead of growing memory
+     * without limit. The queue cannot close before every trainer
+     * joined, so the push always lands eventually.
+     */
+    void
+    Emit(TrainerSlot &slot, UpdateBatch batch)
+    {
+        const std::size_t records = batch.keys->size();
+        const std::size_t bytes = batch.grads.size() * sizeof(float);
+        if (!staging_.PushFor(batch, std::chrono::microseconds(0))) {
+            ++slot.throttle_events;
+            const auto throttle_start = std::chrono::steady_clock::now();
+            while (!staging_.PushFor(batch, std::chrono::milliseconds(1)))
+                FRUGAL_CHECK(!staging_.closed());
+            slot.throttle_wait_seconds +=
+                Seconds(throttle_start, std::chrono::steady_clock::now());
+        }
+        // relaxed: pressure gauge; the monitor tolerates skew against
+        // the drainer's decrements.
+        staging_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+        // Counted before the trainer arrives at the step barrier: the
+        // checkpoint barrier's quiescence check compares applied against
+        // emitted and must see this step's emissions.
+        // relaxed: barrier arrival orders this against the completion
+        // callback's reads; the watchdog tolerates skew.
+        updates_emitted_.fetch_add(records, std::memory_order_relaxed);
+    }
+
+    /**
+     * Charges `rows` host-row gathers to `debt_ns` at
+     * EngineConfig::host_gather_ns each and sleeps the debt off once it
+     * reaches kGatherSleepQuantumNs. Trainers pay it inline; the
+     * prefetcher's warm gathers pay it off the critical path, modelling
+     * DMA transfers that block the requesting kernel but burn no host
+     * CPU.
+     */
+    void
+    ChargeGather(std::uint64_t *debt_ns, std::size_t rows) const
+    {
+        *debt_ns += rows * static_cast<std::uint64_t>(
+                               std::max(0, config_.host_gather_ns));
+        if (*debt_ns >= kGatherSleepQuantumNs) {
+            // retry-exempt: simulated PCIe latency, not a retry backoff.
+            std::this_thread::sleep_for(std::chrono::nanoseconds(*debt_ns));
+            *debt_ns = 0;
+        }
+    }
+
+    // --- prefetch and drain stages -------------------------------------
+
+    /**
+     * Oracular warming for one registered step: gather the rows the
+     * step will read from the host table in batches and insert them
+     * cold into the executing trainer's cache (GpuCache::WarmBatch —
+     * stamped two-phase, so a racing flush always wins).
+     */
+    void
+    WarmStep(Step target, std::uint64_t *gather_debt_ns)
+    {
+        for (std::uint32_t g = 0; g < n_gpus_; ++g) {
+            // Only keys the executing trainer owns are cacheable on its
+            // GPU (non-owned keys use the zero-copy host path).
+            const GpuId dst = executor_[g].load(std::memory_order_acquire);
+            warm_keys_.clear();
+            warm_hints_.clear();
+            for (const Key key : trace_.KeysFor(target, g)) {
+                if (ownership_.OwnerOf(key) != dst)
+                    continue;
+                // alloc-ok: scratch capacity amortizes across steps;
+                // warming is off the critical path.
+                warm_keys_.push_back(key);
+                // The row's next read *from now* is the target step
+                // itself; the trainer's hinted TryGet refreshes it to
+                // the post-target next use.
+                warm_hints_.push_back(target);
+            }
+            if (warm_keys_.empty())
+                continue;
+            std::size_t gathered = 0;
+            caches_[dst]->WarmBatch(
+                warm_keys_.data(), warm_hints_.data(), warm_keys_.size(),
+                [&](const Key *fill, std::size_t m, float *rows) {
+                    table_.ReadRows(fill, m, rows);
+                    gathered = m;
+                });
+            ChargeGather(gather_debt_ns, gathered);
+        }
+    }
+
+    /**
+     * Registers a step that is complete everywhere: its R-set removals
+     * and W-set insertions are now safe. Each gradient row is copied
+     * from its staged batch straight into the g-entry's own row buffer,
+     * so registration allocates nothing per record.
+     */
+    void
+    RegisterStep(Step s, const std::vector<UpdateBatch> &batches)
+    {
+        const std::size_t dim = config_.dim;
+        // Register in (key, src) order so a key's W records always
+        // *arrive* in canonical order — a flush may otherwise split one
+        // step's records for a key across two flushes and apply them in
+        // whatever order the GPUs happened to stage them.
+        drain_order_.clear();
+        for (std::uint32_t b = 0; b < n_gpus_; ++b) {
+            const std::vector<Key> &keys = *batches[b].keys;
+            for (std::uint32_t r = 0; r < keys.size(); ++r)
+                // alloc-ok: scratch capacity persists across steps.
+                drain_order_.push_back(RowRef{keys[r], batches[b].src, b, r});
+        }
+        std::sort(drain_order_.begin(), drain_order_.end(),
+                  [](const RowRef &a, const RowRef &b) {
+                      return a.key != b.key ? a.key < b.key : a.src < b.src;
+                  });
+        // Consecutive refs with equal keys hit the same g-entry; resolve
+        // the step's whole (sorted, unique) key list in one batched
+        // registry call — one shard lock per same-shard run instead of
+        // one per key.
+        drain_keys_.clear();
+        for (const RowRef &ref : drain_order_) {
+            if (drain_keys_.empty() || ref.key != drain_keys_.back())
+                // alloc-ok: scratch capacity persists across steps.
+                drain_keys_.push_back(ref.key);
+        }
+        // alloc-ok: scratch capacity persists across steps.
+        drain_entries_.resize(drain_keys_.size());
+        registry_.GetOrCreateBatch(drain_keys_, drain_entries_.data());
+        // One stamp for the step's records: flush lag is measured from
+        // here, and the whole step registers in one pass.
+        const auto staged_at = std::chrono::steady_clock::now();
+        std::size_t run = 0;
+        for (const RowRef &ref : drain_order_) {
+            if (ref.key != drain_keys_[run])
+                ++run;  // drain_order_ and drain_keys_ sort identically
+            const float *grad = batches[ref.batch].grads.data() +
+                                static_cast<std::size_t>(ref.row) * dim;
+            RegisterUpdate(queue_, *drain_entries_[run],
+                           WriteRecord{.step = s,
+                                       .src = ref.src,
+                                       .staged = staged_at},
+                           std::span<const float>(grad, dim));
+        }
+    }
+
+    // --- the claim-apply path ------------------------------------------
+
+    /**
+     * Claims up to the coalescing width of minimum-priority entries with
+     * priority ≤ `ceiling` (kInfiniteStep: any, deferred ∞ entries
+     * last), scanning from `floor`, and audits and counts the batch in
+     * its dequeue (priority) order.
+     * @return the number of tickets claimed into `out`.
+     */
+    std::size_t
+    Claim(std::vector<ClaimTicket> &out, std::size_t shard, Step floor,
+          Step ceiling)
+    {
+        queue_.SetScanBounds(
+            floor, prefetch_frontier_.load(std::memory_order_acquire));
+        out.clear();
+        // relaxed: degradation knob (coalescing width).
+        const std::size_t width =
+            effective_flush_batch_.load(std::memory_order_relaxed);
+        const std::size_t claimed =
+            ceiling == kInfiniteStep
+                ? queue_.DequeueClaim(out, width, shard)
+                : queue_.DequeueClaimBelow(out, width, shard, ceiling);
+        if (claimed == 0)
+            return 0;
+#if FRUGAL_DCHECK_ENABLED
+        if (auditor_armed_)
+            auditor_.OnClaimBatch(out, floor);
+#endif
+        // relaxed: monotonic stat counter, read after joins.
+        entry_claims_.fetch_add(claimed, std::memory_order_relaxed);
+        return claimed;
+    }
+
+    /**
+     * The one claim-apply path, shared by flush threads, gate-blocked
+     * trainers and watchdog reclaim. Sorts the batch by key so an
+     * entry's tickets form one run, commits each run with one
+     * FlushEntryRun (one entry-lock hold, one row-lock acquisition, one
+     * owner cache refresh), retires every ticket with OnFlushed, and
+     * publishes the applied count. A flush thread passes its slot: the
+     * sorted batch goes into the slot's claim ledger first and the
+     * retired prefix advances after each run, so an injected death
+     * before a run leaves exactly the unapplied suffix for reclaim.
+     * @return false if the flush thread died mid-batch.
+     */
+    bool
+    ApplyClaims(std::vector<ClaimTicket> &claims, LagSampler *lag,
+                FlusherSlot *ledger)
+    {
+        std::sort(claims.begin(), claims.end(),
+                  [](const ClaimTicket &a, const ClaimTicket &b) {
+                      return a.entry->key() < b.entry->key();
+                  });
+        if (ledger != nullptr) {
+            SpinGuard guard(ledger->lock);
+            // alloc-ok: the ledger's capacity persists for the slot's
+            // lifetime and a batch is at most flush_batch tickets.
+            ledger->claimed.assign(claims.begin(), claims.end());
+            ledger->retired = 0;
+        }
+        for (std::size_t i = 0; i < claims.size();) {
+            std::size_t j = i + 1;
+            while (j < claims.size() && claims[j].entry == claims[i].entry)
+                ++j;
+            if (ledger != nullptr && FlusherDies(*ledger))
+                return false;
+            if (config_.flush_delay_us > 0) {
+                // Fault injection: a slow host-memory path (per ticket).
+                // retry-exempt: injected delay.
+                std::this_thread::sleep_for(std::chrono::microseconds(
+                    config_.flush_delay_us * static_cast<long>(j - i)));
+            }
+            // A second ticket for the same entry finds the W set already
+            // applied (applied == 0) and just retires its claim.
+            const std::size_t applied =
+                FlushEntryRun(*claims[i].entry, lag);
+            for (std::size_t k = i; k < j; ++k)
+                queue_.OnFlushed(claims[k]);
+            if (applied > 0) {
+                // release: pairs with the checkpoint barrier's acquire
+                // load. A reader observing applied == emitted must also
+                // observe every row/optimizer write committed before the
+                // increment.
+                updates_applied_.fetch_add(applied,
+                                           std::memory_order_release);
+            }
+            if (ledger != nullptr) {
+                SpinGuard guard(ledger->lock);
+                ledger->retired = j;
+            }
+            i = j;
+        }
+        return true;
+    }
+
+    /**
+     * Injected flush-thread death (FaultSite::kFlushThreadDeath), checked
+     * before each entry run: the thread vanishes with the unapplied
+     * suffix of its batch in the ledger. The gate stays blocked
+     * (in-flight counts unretired) until the watchdog reclaims it.
+     */
+    bool
+    FlusherDies(FlusherSlot &slot)
+    {
+        if (!FaultPoint(injector_, FaultSite::kFlushThreadDeath, slot.index)
+                 .has_value())
+            return false;
+        std::size_t orphaned = 0;
+        {
+            SpinGuard guard(slot.lock);
+            orphaned = slot.Outstanding();
+        }
+        FRUGAL_WARN("fault injection: flush thread "
+                    << slot.index << " dies holding " << orphaned
+                    << " claim(s)");
+        // relaxed: monotonic stat counter, read after joins.
+        flusher_deaths_.fetch_add(1, std::memory_order_relaxed);
+        slot.dead.store(true, std::memory_order_release);
+        slot.busy.store(false, std::memory_order_release);
+        gate_.Nudge();
+        return true;
+    }
+
     /**
      * Applies one claimed entry's whole W set in place, inside one
      * entry-lock critical section: sort the records into canonical
@@ -768,15 +1229,14 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
      * (zombie) enqueue, then clear the W set keeping its capacity. A
      * concurrent claim of the same entry's newer writes can only apply
      * after this releases the lock, so every row sees its updates in the
-     * canonical order no matter who applies them. Flushers, cooperative
-     * trainers and watchdog reclaim all apply through here. The caller
-     * invokes OnFlushed per ticket afterwards (not here: a key run may
-     * cover several tickets for the same entry, each retiring its own
-     * claim).
+     * canonical order no matter who applies them. The caller retires
+     * the tickets afterwards (a key run may cover several tickets for
+     * the same entry, each retiring its own claim).
      * @return the number of records applied.
      */
-    auto flush_entry_run = [&](GEntry &entry,
-                               Histogram *lag_hist) -> std::size_t {
+    std::size_t
+    FlushEntryRun(GEntry &entry, LagSampler *lag)
+    {
         SpinGuard guard(entry.lock());
         const std::span<const WriteRecord> writes = entry.SortWritesLocked();
         if (writes.empty()) {
@@ -789,23 +1249,21 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         // themselves are batched after it.
         // spin-block-ok: deliberate — the retry backoff sleeps under
         // the g-entry lock so a write storm delays only this key (see
-        // await_host_write); contention on one entry's lock is rare.
+        // AwaitHostWrite); contention on one entry's lock is rare.
         for (std::size_t r = 0; r < writes.size(); ++r)
             // spin-block-ok: see rationale above the loop.
-            await_host_write(key);
+            AwaitHostWrite(key);
         thread_local std::vector<const float *> grad_ptrs;
         grad_ptrs.clear();
         for (const WriteRecord &record : writes)
             // alloc-ok: thread_local scratch; capacity amortizes across
             // entry runs (clear() keeps it), so growth is one-time.
             grad_ptrs.push_back(entry.gradLocked(record));
-        table_->ApplyGradients(key, grad_ptrs.data(), writes.size(),
-                               *optimizer_);
-        refresh_cache(key);
-        if (lag_hist != nullptr) {
-            lag_hist->Add(Seconds(writes.front().staged,
-                                  std::chrono::steady_clock::now()));
-        }
+        table_.ApplyGradients(key, grad_ptrs.data(), writes.size(),
+                              optimizer_);
+        RefreshCache(key);
+        if (lag != nullptr)
+            lag->Record(writes.front().staged);
         const std::size_t applied = writes.size();
         if (entry.enqueuedLocked()) {
             // Same zombie-retire rule as FlushClaimed: the writes behind
@@ -816,920 +1274,472 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             // bucket, e.g. ∞).
             const Priority standing = entry.priorityLocked();
             entry.setEnqueuedLocked(false);
-            queue->Unenqueue(&entry, standing);
+            queue_.Unenqueue(&entry, standing);
         }
         entry.ClearWritesLocked();
         return applied;
-    };
+    }
 
-    std::vector<std::unique_ptr<FlusherSlot>> flusher_slots;
-    for (std::size_t f = 0; f < config_.flush_threads; ++f)
-        flusher_slots.push_back(std::make_unique<FlusherSlot>(f));
+    /**
+     * Transient host-write failures retry under the unified policy
+     * (common/retry.h): bounded exponential backoff, 2 µs doubling to a
+     * 1 ms cap. This runs under the g-entry lock, so a retry storm
+     * delays only this parameter's flush.
+     */
+    void
+    AwaitHostWrite(Key key)
+    {
+        RetryPolicy policy;
+        policy.max_attempts = kHostWriteAttempts;
+        policy.initial_backoff = std::chrono::microseconds(2);
+        policy.max_backoff = std::chrono::microseconds(1000);
+        const RetryOutcome outcome = RetryWithBackoff(
+            policy, static_cast<std::uint64_t>(key), [&] {
+                if (FaultPoint(injector_, FaultSite::kHostWriteTransient,
+                               static_cast<std::uint64_t>(key))) {
+                    // relaxed: monotonic stat counter, read after joins.
+                    write_retries_.fetch_add(1, std::memory_order_relaxed);
+                    return false;
+                }
+                return true;
+            });
+        FRUGAL_CHECK_MSG(outcome.ok(),
+                         "host-table write for key "
+                             << key << " still failing after "
+                             << outcome.attempts
+                             << " attempts; giving up (permanent "
+                                "failure, not transient)");
+    }
 
-    // The flusher body is a named function so the watchdog can respawn
-    // a dead slot with the identical loop.
-    std::function<void(FlusherSlot *)> flusher_body =
-        [&](FlusherSlot *slot) {
-            // Consecutive zero-claim passes before the flusher stops
-            // yielding and naps between rescans.
-            constexpr std::size_t kParkAfterEmptyClaims = 2;
-            std::size_t empty_claims = 0;
-            // Idle nap; doubles (capped) while the queue stays dry,
-            // resets on a successful claim.
-            std::chrono::microseconds idle_sleep{500};
-            // Flush-lag is sampled (1 in 16 runs): a steady_clock read
-            // plus a log-bucket histogram insert per applied run is
-            // measurable against these micro-second apply times.
-            std::size_t lag_tick = 0;
-            std::vector<ClaimTicket> claimed;
-            while (true) {
-                if (queue->SizeApprox() == 0) {
-                    if (drain_done.load(std::memory_order_acquire))
-                        return;
-                    // Idle: flat self-wake, off the gate CV. The
-                    // drainer's nudge_gate is a notify_all; four
-                    // flushers parked on it turn every drained step
-                    // into a thundering herd whose losers wake, rescan
-                    // and re-park. The gate-blocked trainer claims its
-                    // own blockers (cooperative flush), so an idle
-                    // flusher only needs to wake often enough to absorb
-                    // later-step and deferred backlog.
-                    // retry-exempt: idle self-wake, not a retry.
-                    std::this_thread::sleep_for(idle_sleep);
-                    idle_sleep = std::min(idle_sleep * 2,
-                                          std::chrono::microseconds(4000));
-                    continue;
-                }
-                // The scan floor relies on the gate's invariant that
-                // nothing below the current step is pending; without the
-                // gate (async ablation) stale priorities survive below
-                // it, so the floor must stay at zero.
-                const Step scan_floor =
-                    config_.disable_gate_unsafe
-                        ? 0
-                        : current_step.load(std::memory_order_acquire);
-                queue->SetScanBounds(
-                    scan_floor,
-                    prefetch_frontier.load(std::memory_order_acquire));
-                claimed.clear();
-                slot->busy.store(true, std::memory_order_release);
-                if (queue->DequeueClaim(claimed,
-                                        // relaxed: degradation knob
-                                        // (coalescing width).
-                                        effective_flush_batch.load(
-                                            std::memory_order_relaxed),
-                                        slot->index) == 0) {
-                    // Entries exist but are momentarily unclaimable
-                    // (mid-publish or taken by a peer); back off briefly.
-                    slot->busy.store(false, std::memory_order_release);
-                    // Two-stage backoff: yield while the pipeline is
-                    // merely between batches, then a flat sleep after a
-                    // streak of empty claims. Everything visible is in
-                    // flight on a peer — or on a gate-blocked trainer,
-                    // which self-claims in the cooperative-flush path
-                    // and must not have to outrace a flusher for the
-                    // work it is waiting on — so rescanning in-flight
-                    // entries only burns timeslices the applying
-                    // threads need.
-                    if (++empty_claims < kParkAfterEmptyClaims) {
-                        std::this_thread::yield();
-                    } else {
-                        // retry-exempt: contention backoff while peers
-                        // hold the claims, not a retry.
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(200));
-                    }
-                    continue;
-                }
-                empty_claims = 0;
-                idle_sleep = std::chrono::microseconds{500};
-#if FRUGAL_DCHECK_ENABLED
-                if (auditor_armed)
-                    auditor.OnClaimBatch(claimed, scan_floor);
-#endif
-                // relaxed: monotonic stat counter, read after joins.
-                entry_claims.fetch_add(claimed.size(),
-                                       std::memory_order_relaxed);
-                // Publish the batch to the claim ledger *before*
-                // flushing: from here on, death leaves a trail the
-                // watchdog can reclaim.
-                {
-                    SpinGuard guard(slot->lock);
-                    // alloc-ok: amortized append to the claim ledger;
-                    // capacity persists for the flusher's lifetime.
-                    slot->claimed.insert(slot->claimed.end(),
-                                         claimed.begin(), claimed.end());
-                }
-                auto injected_death = [&]() -> bool {
-                    if (!FaultPoint(injector,
-                                    FaultSite::kFlushThreadDeath,
-                                    slot->index)
-                             .has_value()) {
-                        return false;
-                    }
-                    // Injected death mid-claim: vanish with the
-                    // unflushed tail still in the ledger. The gate
-                    // stays blocked (in-flight counts unretired)
-                    // until the watchdog reclaims them.
-                    std::size_t orphaned = 0;
-                    {
-                        SpinGuard guard(slot->lock);
-                        orphaned = slot->claimed.size();
-                    }
-                    FRUGAL_WARN("fault injection: flush thread "
-                                << slot->index << " dies holding "
-                                << orphaned << " claim(s)");
-                    // relaxed: monotonic stat counter, read after
-                    // joins.
-                    flusher_deaths.fetch_add(1,
-                                             std::memory_order_relaxed);
-                    slot->dead.store(true, std::memory_order_release);
-                    slot->busy.store(false, std::memory_order_release);
-                    nudge_gate();
+    /**
+     * "H2D": copies the committed row into the owner's cache. Also runs
+     * on the watchdog thread when reclaiming abandoned claims, hence
+     * the thread-local row buffer.
+     */
+    void
+    RefreshCache(Key key)
+    {
+        thread_local std::vector<float> row;
+        // alloc-ok: thread_local scratch; after the first call on each
+        // thread this resize never reallocates (dim is run-constant).
+        row.resize(config_.dim);
+        const GpuId owner = ownership_.OwnerOf(key);
+        table_.ReadRow(key, row.data());
+        // Flush-side warm: the caller holds the g-entry lock and this
+        // row is the freshly committed host value — if the key will be
+        // read again inside the lookahead window, cache it even when it
+        // was not resident (WarmOne update-or-cold-inserts). That turns
+        // the mandatory coherence write into a free prefetch for keys
+        // the prefetcher's batch warm skipped (they had pending writes
+        // then). Fully shed with warming under memory pressure.
+        // relaxed: degradation flag; a stale read warms one extra row.
+        if (oracular_ && warming_enabled_.load(std::memory_order_relaxed)) {
+            const Step now = current_step_.load(std::memory_order_acquire);
+            const Step reuse = next_use_.NextUseAfter(key, now);
+            const Step window =
+                now +
+                // relaxed: degradation knob; any recent value works.
+                static_cast<Step>(effective_lookahead_.load(
+                    std::memory_order_relaxed));
+            if (reuse != NextUseIndex::kNever && reuse <= window) {
+                caches_[owner]->WarmOne(key, row.data(), reuse);
+                return;
+            }
+        }
+        caches_[owner]->UpdateIfPresent(key, row.data());
+    }
+
+    // --- step boundary stages ------------------------------------------
+
+    /**
+     * Consistent checkpoint barrier after step s. All trainers are
+     * parked in the barrier, so no new updates can be produced: wait
+     * for the pipeline to drain (staging empties, the drainer registers
+     * step s's writes, flushers apply them all), then the host table +
+     * optimizer state IS the model as of the end of step s.
+     */
+    void
+    Checkpoint(Step s)
+    {
+        const auto pause_start = std::chrono::steady_clock::now();
+        const auto quiescent = [&] {
+            return drained_steps_.load(std::memory_order_acquire) >= s + 1 &&
+                   staging_.size() == 0 && queue_.SizeApprox() == 0 &&
+                   // relaxed: trainers are parked in this barrier, so
+                   // emitted is frozen; only applied needs to
+                   // synchronize.
+                   updates_applied_.load(std::memory_order_acquire) >=
+                       updates_emitted_.load(std::memory_order_relaxed);
+        };
+        while (!gate_.WaitFor(std::chrono::milliseconds(1), quiescent)) {
+        }
+        const auto save_start = std::chrono::steady_clock::now();
+        CheckpointExtras extras;
+        extras.optimizer_name = optimizer_.Name();
+        extras.optimizer_state = optimizer_.ExportState();
+        // The cursor is global: a resumed run's trace is the suffix that
+        // starts at first_step_.
+        extras.next_step = first_step_ + s + 1;
+        // Unified retry policy (common/retry.h): transient checkpoint
+        // failures (injected I/O errors, torn writes) get a few
+        // backed-off attempts before the barrier gives up. The previous
+        // checkpoint survives either way — the tmp-file + rename
+        // protocol never touches it until a replacement is durable.
+        RetryPolicy policy;
+        policy.max_attempts = 3;
+        policy.initial_backoff = std::chrono::microseconds(100);
+        policy.max_backoff = std::chrono::microseconds(2000);
+        const RetryOutcome saved = RetryWithBackoff(
+            policy, static_cast<std::uint64_t>(s), [&] {
+                if (SaveCheckpoint(table_, extras, config_.checkpoint_path,
+                                   injector_)) {
                     return true;
-                };
-                auto erase_from_ledger = [&](const ClaimTicket &ticket) {
-                    for (auto it = slot->claimed.begin();
-                         it != slot->claimed.end(); ++it) {
-                        if (it->entry == ticket.entry &&
-                            it->priority == ticket.priority) {
-                            slot->claimed.erase(it);
-                            return;
-                        }
-                    }
-                };
-                // Coalesced application: group the batch by key so
-                // tickets for the same entry form one contiguous run, then
-                // commit each run with one entry-lock hold, one row-lock
-                // acquisition and one owner cache refresh. Sorting
-                // happens *after* the auditor saw the batch in dequeue
-                // (priority) order.
-                std::sort(claimed.begin(), claimed.end(),
-                          [](const ClaimTicket &a, const ClaimTicket &b) {
-                              return a.entry->key() < b.entry->key();
-                          });
-                std::size_t i = 0;
-                while (i < claimed.size()) {
-                    std::size_t j = i + 1;
-                    while (j < claimed.size() &&
-                           claimed[j].entry == claimed[i].entry)
-                        ++j;
-                    if (injected_death())
-                        return;
-                    if (config_.flush_delay_us > 0) {
-                        // Fault injection: a slow host-memory path (per
-                        // ticket).
-                        // retry-exempt: injected delay.
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(
-                                config_.flush_delay_us *
-                                static_cast<long>(j - i)));
-                    }
-                    // A second ticket for the same entry finds the W set
-                    // already applied (applied == 0) and just retires its
-                    // claim.
-                    const std::size_t applied = flush_entry_run(
-                        *claimed[i].entry,
-                        (lag_tick++ & 0xf) == 0 ? &slot->lag : nullptr);
-                    for (std::size_t k = i; k < j; ++k)
-                        queue->OnFlushed(claimed[k]);
-                    if (applied > 0) {
-                        // release: pairs with the checkpoint barrier's
-                        // acquire load. A reader observing applied ==
-                        // emitted must also observe every row/optimizer
-                        // write committed before the increment.
-                        updates_applied.fetch_add(
-                            applied, std::memory_order_release);
-                    }
-                    {
-                        SpinGuard guard(slot->lock);
-                        for (std::size_t k = i; k < j; ++k)
-                            erase_from_ledger(claimed[k]);
-                    }
-                    i = j;
                 }
-                slot->busy.store(false, std::memory_order_release);
-                nudge_gate();
-            }
-        };
-    for (auto &slot : flusher_slots)
-        slot->thread = std::thread(flusher_body, slot.get());
-
-    // --- watchdog ------------------------------------------------------
-    std::unique_ptr<Watchdog> watchdog;
-    if (config_.watchdog) {
-        Watchdog::Config wd_config;
-        wd_config.poll = std::chrono::milliseconds(
-            std::max(1, config_.watchdog_poll_ms));
-        wd_config.stall_deadline = std::chrono::milliseconds(
-            std::max(config_.watchdog_poll_ms, config_.watchdog_stall_ms));
-        // Sampling reads atomics and leaf-ranked slot ledgers only —
-        // never a lock of rank ≥ kGEntry (a wedged flush thread may
-        // hold those; the diagnoser must not join it in the wedge).
-        auto snapshot = [&]() {
-            ProgressSnapshot snap;
-            snap.current_step =
-                current_step.load(std::memory_order_acquire);
-            snap.drained_steps =
-                drained_steps.load(std::memory_order_acquire);
-            snap.prefetch_frontier =
-                prefetch_frontier.load(std::memory_order_acquire);
-            // relaxed: diagnostic snapshot; the two counters may be
-            // mutually skewed, which Classify tolerates.
-            snap.updates_emitted =
-                updates_emitted.load(std::memory_order_relaxed);
-            // relaxed: diagnostic snapshot (see above).
-            snap.updates_applied =
-                updates_applied.load(std::memory_order_relaxed);
-            snap.staging_size = staging.size();
-            snap.pq_size = queue->SizeApprox();
-            for (const auto &slot : flusher_slots) {
-                if (slot->dead.load(std::memory_order_acquire)) {
-                    ++snap.dead_flushers;
-                    SpinGuard guard(slot->lock);
-                    snap.abandoned_claims += slot->claimed.size();
-                }
-            }
-            snap.run_complete =
-                run_complete.load(std::memory_order_acquire);
-            return snap;
-        };
-        auto recover = [&](StallKind kind) -> bool {
-            if (kind == StallKind::kEmptyQueueIdle ||
-                kind == StallKind::kUnknown) {
-                // Cheap, safe, idempotent: re-deliver a possibly lost
-                // gate wakeup. Not counted as a recovery — if the nudge
-                // fixes it, progress resumes and the stall clears.
-                nudge_gate();
+                ++report_.recovery.checkpoint_retries;
                 return false;
-            }
-            if (kind != StallKind::kDeadFlusher)
-                return false;
-            bool acted = false;
-            for (auto &slot : flusher_slots) {
-                if (!slot->dead.load(std::memory_order_acquire))
-                    continue;
-                // The thread has already returned (it set `dead` on its
-                // way out); join reaps it so the slot can be reused.
-                if (slot->thread.joinable())
-                    slot->thread.join();
-                std::vector<ClaimTicket> abandoned;
-                {
-                    SpinGuard guard(slot->lock);
-                    abandoned.swap(slot->claimed);
-                }
-                // Reclaim each abandoned ticket: apply its entry's
-                // pending writes and retire the in-flight count. If a
-                // live flusher already applied the writes through the
-                // zombie re-enqueue path, the W set is empty and this
-                // just retires the claim — both outcomes keep the
-                // per-key canonical order, because W records only ever
-                // leave an entry through flush_entry_run's sorted apply.
-                for (const ClaimTicket &ticket : abandoned) {
-                    const std::size_t applied =
-                        flush_entry_run(*ticket.entry, nullptr);
-                    queue->OnFlushed(ticket);
-                    if (applied > 0) {
-                        // release: see the flusher-loop counterpart.
-                        updates_applied.fetch_add(
-                            applied, std::memory_order_release);
-                    }
-                    // relaxed: monotonic stat counter, reporting only.
-                    claims_reclaimed.fetch_add(1,
-                                               std::memory_order_relaxed);
-                }
-                slot->dead.store(false, std::memory_order_release);
-                slot->thread = std::thread(flusher_body, slot.get());
-                // relaxed: monotonic stat counter, reporting only.
-                flusher_respawns.fetch_add(1, std::memory_order_relaxed);
-                FRUGAL_WARN("watchdog: respawned flush thread "
-                            << slot->index << " after reclaiming "
-                            << abandoned.size() << " claim(s)");
-                acted = true;
-            }
-            if (acted)
-                nudge_gate();
-            return acted;
-        };
-        auto diagnose = [&]() -> std::string {
-            std::ostringstream out;
-            out << queue->DebugDump();
-            out << "staging " << staging.size() << "/" << staging_cap
-                << " batch(es), drained through step "
-                << drained_steps.load(std::memory_order_acquire)
-                << ", prefetch frontier "
-                << prefetch_frontier.load(std::memory_order_acquire)
-                << "\n";
-            for (const auto &slot : flusher_slots) {
-                std::size_t ledger = 0;
-                {
-                    SpinGuard guard(slot->lock);
-                    ledger = slot->claimed.size();
-                }
-                out << "flusher " << slot->index << ": "
-                    << (slot->dead.load(std::memory_order_acquire)
-                            ? "DEAD"
-                            : "alive")
-                    << (slot->busy.load(std::memory_order_acquire)
-                            ? " busy"
-                            : " idle")
-                    << ", " << ledger << " claim(s) in ledger\n";
-            }
-            if (config_.memory_budget != nullptr) {
-                out << "memory pressure stage "
-                    << PressureStageName(config_.memory_budget->stage())
-                    << ", tracked "
-                    << config_.memory_budget->TotalBytes() << " of "
-                    << config_.memory_budget->budget_bytes()
-                    << " budget bytes\n";
-            }
-            return out.str();
-        };
-        watchdog = std::make_unique<Watchdog>(
-            wd_config, std::move(snapshot), std::move(recover),
-            std::move(diagnose));
-        watchdog->Start();
+            });
+        if (!saved.ok()) {
+            FRUGAL_WARN("checkpoint barrier after step "
+                        << s << " failed to persist (" << saved.attempts
+                        << " attempts); training continues");
+        }
+        ++report_.recovery.checkpoint_barriers;
+        const auto save_end = std::chrono::steady_clock::now();
+        report_.recovery.checkpoint_pause_seconds +=
+            Seconds(pause_start, save_start);
+        report_.recovery.checkpoint_save_seconds +=
+            Seconds(save_start, save_end);
     }
 
-    // --- memory-pressure monitor (DESIGN.md §12.2) ---------------------
-    MemoryBudget *const budget = config_.memory_budget;
-    std::atomic<bool> monitor_stop{false};
+    /**
+     * Injected trainer death after step s → degraded mode: the first
+     * live peer becomes the victim's successor, executing its trace GPU
+     * share and owning its key shard from step s + 1 on.
+     */
+    void
+    KillTrainer(GpuId victim, Step s)
+    {
+        std::uint32_t live = 0;
+        GpuId successor = victim;
+        for (std::uint32_t g = 0; g < n_gpus_; ++g) {
+            // relaxed: only this single-threaded callback writes the
+            // dead flags.
+            if (trainer_dead_[g].load(std::memory_order_relaxed))
+                continue;
+            ++live;
+            if (successor == victim && static_cast<GpuId>(g) != victim)
+                successor = static_cast<GpuId>(g);
+        }
+        // relaxed: see above.
+        if (trainer_dead_[victim].load(std::memory_order_relaxed)) {
+            FRUGAL_WARN("fault injection: trainer "
+                        << victim << " is already dead; ignored");
+            return;
+        }
+        if (live < 2) {
+            FRUGAL_WARN("fault injection: refusing to kill the last live "
+                        "trainer");
+            return;
+        }
+        FRUGAL_WARN("fault injection: trainer "
+                    << victim << " dies after step " << s
+                    << "; degraded mode, successor " << successor);
+        // Rewire execution and ownership before publishing the death: a
+        // trainer that observes its dead flag (acquire) must also
+        // observe the rewired map.
+        for (std::uint32_t g = 0; g < n_gpus_; ++g) {
+            // relaxed: only this callback writes executor.
+            if (executor_[g].load(std::memory_order_relaxed) == victim)
+                executor_[g].store(successor, std::memory_order_release);
+        }
+        // The victim's cache is dropped, not migrated: its rows are all
+        // committed (gate invariant), so the successor re-fills from host
+        // memory on demand.
+        caches_[victim]->Clear();
+        report_.recovery.ownership_remaps +=
+            ownership_.Remap(victim, successor);
+        trainer_dead_[victim].store(true, std::memory_order_release);
+        ++report_.recovery.trainer_deaths;
+    }
+
+    // --- watchdog callbacks --------------------------------------------
+    // Sampling reads atomics and leaf-ranked slot ledgers only — never a
+    // lock of rank ≥ kGEntry (a wedged flush thread may hold those; the
+    // diagnoser must not join it in the wedge).
+
+    ProgressSnapshot
+    Snapshot()
+    {
+        ProgressSnapshot snap;
+        snap.current_step = current_step_.load(std::memory_order_acquire);
+        snap.drained_steps = drained_steps_.load(std::memory_order_acquire);
+        snap.prefetch_frontier =
+            prefetch_frontier_.load(std::memory_order_acquire);
+        // relaxed: diagnostic snapshot; the two counters may be mutually
+        // skewed, which Classify tolerates.
+        snap.updates_emitted =
+            updates_emitted_.load(std::memory_order_relaxed);
+        // relaxed: diagnostic snapshot (see above).
+        snap.updates_applied =
+            updates_applied_.load(std::memory_order_relaxed);
+        snap.staging_size = staging_.size();
+        snap.pq_size = queue_.SizeApprox();
+        for (const auto &slot : flusher_slots_) {
+            if (slot->dead.load(std::memory_order_acquire)) {
+                ++snap.dead_flushers;
+                SpinGuard guard(slot->lock);
+                snap.abandoned_claims += slot->Outstanding();
+            }
+        }
+        snap.run_complete = run_complete_.load(std::memory_order_acquire);
+        return snap;
+    }
+
+    bool
+    Recover(StallKind kind)
+    {
+        if (kind == StallKind::kEmptyQueueIdle ||
+            kind == StallKind::kUnknown) {
+            // Cheap, safe, idempotent: re-deliver a possibly lost gate
+            // wakeup. Not counted as a recovery — if the nudge fixes it,
+            // progress resumes and the stall clears.
+            gate_.Nudge();
+            return false;
+        }
+        if (kind != StallKind::kDeadFlusher)
+            return false;
+        bool acted = false;
+        for (auto &slot : flusher_slots_) {
+            if (!slot->dead.load(std::memory_order_acquire))
+                continue;
+            // The thread has already returned (it set `dead` on its way
+            // out); join reaps it so the slot can be reused.
+            if (slot->thread.joinable())
+                slot->thread.join();
+            std::vector<ClaimTicket> abandoned;
+            std::size_t retired = 0;
+            {
+                SpinGuard guard(slot->lock);
+                abandoned.swap(slot->claimed);
+                retired = std::exchange(slot->retired, 0);
+            }
+            abandoned.erase(abandoned.begin(),
+                            abandoned.begin() +
+                                static_cast<std::ptrdiff_t>(retired));
+            // Reclaim: apply the abandoned entries' pending writes and
+            // retire their in-flight counts. If a live flusher already
+            // applied the writes through the zombie re-enqueue path, the
+            // W set is empty and this just retires the claim — both keep
+            // the per-key canonical order, because W records only ever
+            // leave an entry through FlushEntryRun's sorted apply.
+            ApplyClaims(abandoned, nullptr, nullptr);
+            // relaxed: monotonic stat counter, reporting only.
+            claims_reclaimed_.fetch_add(abandoned.size(),
+                                        std::memory_order_relaxed);
+            slot->dead.store(false, std::memory_order_release);
+            slot->thread =
+                std::thread(&Pipeline::FlushWorker, this, slot.get());
+            // relaxed: monotonic stat counter, reporting only.
+            flusher_respawns_.fetch_add(1, std::memory_order_relaxed);
+            FRUGAL_WARN("watchdog: respawned flush thread "
+                        << slot->index << " after reclaiming "
+                        << abandoned.size() << " claim(s)");
+            acted = true;
+        }
+        if (acted)
+            gate_.Nudge();
+        return acted;
+    }
+
+    std::string
+    Diagnose()
+    {
+        std::ostringstream out;
+        out << queue_.DebugDump();
+        out << "staging " << staging_.size() << "/"
+            << config_.staging_capacity
+            << " batch(es), drained through step "
+            << drained_steps_.load(std::memory_order_acquire)
+            << ", prefetch frontier "
+            << prefetch_frontier_.load(std::memory_order_acquire) << "\n";
+        for (const auto &slot : flusher_slots_) {
+            std::size_t ledger = 0;
+            {
+                SpinGuard guard(slot->lock);
+                ledger = slot->Outstanding();
+            }
+            out << "flusher " << slot->index << ": "
+                << (slot->dead.load(std::memory_order_acquire) ? "DEAD"
+                                                               : "alive")
+                << (slot->busy.load(std::memory_order_acquire) ? " busy"
+                                                               : " idle")
+                << ", " << ledger << " claim(s) in ledger\n";
+        }
+        if (budget_ != nullptr) {
+            out << "memory pressure stage "
+                << PressureStageName(budget_->stage()) << ", tracked "
+                << budget_->TotalBytes() << " of "
+                << budget_->budget_bytes() << " budget bytes\n";
+        }
+        return out.str();
+    }
+
+    // --- run-scoped state ----------------------------------------------
+
+    const EngineConfig &config_;
+    HostEmbeddingTable &table_;
+    Optimizer &optimizer_;
+    KeyOwnership &ownership_;
+    /** Global step of the trace's first step (checkpoint cursors). */
+    const Step first_step_;
+    const Trace &trace_;
+    const GradFn &grad_fn_;
+    const StepHook &step_hook_;
+    const Step n_steps_ = trace_.NumSteps();
+    const std::uint32_t n_gpus_ = config_.n_gpus;
+    FaultInjector *const injector_ = config_.fault_injector;
+    MemoryBudget *const budget_ = config_.memory_budget;
+    const bool oracular_ = config_.oracular_prefetch;
+
+    // Priorities are read steps < S; one dequeue shard per flush thread
+    // unless configured.
+    TwoLevelPQ queue_{TwoLevelPQConfig{
+        .max_step = n_steps_,
+        .n_shards = config_.pq_shards != 0
+                        ? config_.pq_shards
+                        : std::max<std::size_t>(1, config_.flush_threads)}};
+    GEntryRegistry registry_{64, config_.key_space};
+    BlockingQueue<UpdateBatch> staging_{config_.staging_capacity};
+    std::vector<std::unique_ptr<GpuCache>> caches_;
+    // The next-use oracle (DESIGN.md §13): the trace is fully
+    // materialized, so the future is known — one backward pass builds
+    // the per-key index that drives cache warming, Belady-style
+    // eviction hints and dead-key reclamation. Its steps are
+    // trace-local, the coordinates current_step_ and the prefetch
+    // frontier use.
+    const NextUseIndex next_use_ =
+        oracular_ ? trace_.BuildNextUseIndex() : NextUseIndex{};
+    GateSignal gate_;
+
+    std::atomic<Step> prefetch_frontier_{0};  // steps with R sets in place
+    std::atomic<Step> drained_steps_{0};      // steps fully in g-entries
+    std::atomic<Step> current_step_{0};
+    std::atomic<bool> drain_done_{false};
+    std::atomic<bool> run_complete_{false};
+    std::atomic<bool> monitor_stop_{false};
+    // Degradation knobs, written by the pressure monitor and read on the
+    // prefetch/flush paths. They start at the configured values and only
+    // move on stage transitions. Warming is the first mechanism shed —
+    // pure opportunism (extra host gathers + cache inserts).
+    std::atomic<bool> warming_enabled_{oracular_};
+    std::atomic<std::size_t> effective_lookahead_{config_.lookahead};
+    std::atomic<std::size_t> effective_flush_batch_{config_.flush_batch};
+    // Degraded-mode execution map: executor_[g] is the trainer thread
+    // currently executing trace GPU g's work (identity while healthy;
+    // rewritten by KillTrainer at a step boundary).
+    std::vector<std::atomic<GpuId>> executor_;
+    std::vector<std::atomic<bool>> trainer_dead_;
+
+    std::atomic<std::uint64_t> updates_emitted_{0};
+    std::atomic<std::uint64_t> updates_applied_{0};
+    std::atomic<std::uint64_t> entry_claims_{0};
+    std::atomic<std::uint64_t> audit_violations_{0};
+    std::atomic<std::uint64_t> write_retries_{0};
+    std::atomic<std::uint64_t> flusher_deaths_{0};
+    std::atomic<std::uint64_t> flusher_respawns_{0};
+    std::atomic<std::uint64_t> claims_reclaimed_{0};
+    std::atomic<std::uint64_t> cache_rows_shed_{0};
+    std::atomic<std::uint64_t> late_warm_count_{0};
+    std::atomic<std::uint64_t> warms_shed_count_{0};
+    // Staging payload bytes currently queued (trainers add on push, the
+    // drainer subtracts on pop); feeds the kQueue pressure gauge.
+    std::atomic<std::size_t> staging_bytes_{0};
+
+    // The step boundary's recovery counters accumulate here (written
+    // only by the single-threaded barrier completion; read after the
+    // trainer joins); Report fills in the rest.
+    RunReport report_;
+
+    // Drainer-only scratch, reused across steps.
+    std::vector<RowRef> drain_order_;
+    std::vector<Key> drain_keys_;
+    std::vector<GEntry *> drain_entries_;
+    // Prefetcher-only warm scratch: the subset of a future step's keys
+    // owned by the thread that will execute them, plus their hints.
+    std::vector<Key> warm_keys_;
+    std::vector<Step> warm_hints_;
+
+#if FRUGAL_DCHECK_ENABLED
+    // The invariant auditor (§3.3 safety argument, machine-checked).
+    // Disarmed for the async ablation: disable_gate_unsafe *exists* to
+    // break the invariant, and its violations are reported through
+    // report.audit_violations instead of a shutdown panic.
+    InvariantAuditor auditor_;
+    const bool auditor_armed_ = !config_.disable_gate_unsafe;
+#endif
+
+    std::vector<CacheAligned<TrainerSlot>> trainers_;
+    std::vector<std::unique_ptr<FlusherSlot>> flusher_slots_;
+    std::barrier<StepCompletion> step_barrier_;
+    // Last: ~Watchdog stops its thread, which runs the callbacks above,
+    // before any state they read is destroyed.
+    Watchdog watchdog_;
+};
+
+void
+StepCompletion::operator()() noexcept
+{
+    pipeline->StepBoundary();
+}
+
+}  // namespace
+
+RunReport
+FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
+                  const StepHook &step_hook)
+{
+    FRUGAL_CHECK_MSG(trace.n_gpus() == config_.n_gpus,
+                     "trace built for " << trace.n_gpus()
+                                        << " GPUs, engine has "
+                                        << config_.n_gpus);
+    FRUGAL_CHECK_MSG(trace.key_space() <= config_.key_space,
+                     "trace key space exceeds the table");
+    FRUGAL_CHECK_MSG(
+        config_.fault_injector == nullptr ||
+            !config_.fault_injector->plan().HasRuleFor(
+                FaultSite::kTrainerDeath) ||
+            config_.n_gpus >= 2,
+        "trainer-death fault plans require at least 2 GPUs");
+
+    Pipeline pipeline(config_, *table_, *optimizer_, ownership_,
+                      resume_cursor_, trace, grad_fn, step_hook);
+    const auto run_start = std::chrono::steady_clock::now();
+    std::thread prefetcher(&Pipeline::Prefetcher, &pipeline);
+    std::thread drainer(&Pipeline::Drainer, &pipeline);
+    pipeline.StartFlushWorkers();
     std::thread pressure_monitor;
-    if (budget != nullptr) {
-        const std::size_t healthy_rows = config_.CacheRowsPerGpu();
-        pressure_monitor = std::thread([&, healthy_rows] {
-            const auto poll = std::chrono::milliseconds(
-                std::max(1, config_.memory_poll_ms));
-            PressureStage reacted = PressureStage::kNormal;
-            while (!monitor_stop.load(std::memory_order_acquire)) {
-                budget->Publish(MemoryComponent::kArena,
-                                registry.ArenaBytes());
-                budget->Publish(MemoryComponent::kFlatMap,
-                                registry.IndexBytes());
-                std::size_t cache_total = 0;
-                for (const auto &cache : caches)
-                    cache_total += cache->MemoryBytes();
-                budget->Publish(MemoryComponent::kCache, cache_total);
-                budget->Publish(MemoryComponent::kQueue,
-                                // relaxed: gauge; skew tolerated.
-                                staging_bytes.load(
-                                    std::memory_order_relaxed));
-                const PressureStage stage = budget->Evaluate();
-                if (stage != reacted) {
-                    // Staged reactions. Oracular warming is pure
-                    // optimism (extra host gathers + cold-end inserts),
-                    // so it is the FIRST mechanism shed — at elevated,
-                    // before the prefetch window narrows and long
-                    // before caches shrink. Elevated also sheds the
-                    // prefetch window (fewer R sets and staged batches
-                    // in flight) and the flush coalescing width;
-                    // critical additionally halves the GPU caches —
-                    // safe at any moment because the cache is
-                    // write-through, so eviction changes throughput,
-                    // never table contents. Returning to normal
-                    // restores every knob, including warming and the
-                    // cache capacity.
-                    std::size_t lookahead = config_.lookahead;
-                    std::size_t flush_batch = config_.flush_batch;
-                    std::size_t cache_rows = healthy_rows;
-                    bool warm = oracular;
-                    if (stage == PressureStage::kElevated) {
-                        warm = false;
-                        lookahead = std::max<std::size_t>(
-                            1, config_.lookahead / 2);
-                        flush_batch = 1;
-                    } else if (stage == PressureStage::kCritical) {
-                        warm = false;
-                        lookahead = 1;
-                        flush_batch = 1;
-                        cache_rows =
-                            std::max<std::size_t>(1, healthy_rows / 2);
-                    }
-                    // relaxed: degradation knobs; readers tolerate any
-                    // recent value.
-                    effective_lookahead.store(lookahead,
-                                              std::memory_order_relaxed);
-                    // relaxed: see above.
-                    effective_flush_batch.store(
-                        flush_batch, std::memory_order_relaxed);
-                    // relaxed: see above.
-                    if (warming_enabled.exchange(
-                            warm, std::memory_order_relaxed) &&
-                        !warm) {
-                        // relaxed: monotonic stat counter.
-                        warms_shed_count.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                    std::uint64_t shed = 0;
-                    for (const auto &cache : caches) {
-                        if (cache->capacity() != cache_rows)
-                            shed += cache->Resize(cache_rows);
-                    }
-                    if (shed > 0) {
-                        // relaxed: monotonic stat counter.
-                        cache_rows_shed.fetch_add(
-                            shed, std::memory_order_relaxed);
-                    }
-                    FRUGAL_WARN("memory pressure: "
-                                << PressureStageName(reacted) << " -> "
-                                << PressureStageName(stage) << " ("
-                                << budget->TotalBytes() << " of "
-                                << budget->budget_bytes()
-                                << " budget bytes; warming "
-                                << (warm ? "on" : "shed")
-                                << ", lookahead " << lookahead
-                                << ", flush batch " << flush_batch
-                                << ", " << shed
-                                << " cache row(s) shed)");
-                    reacted = stage;
-                    // Satellite: every effective_lookahead change must
-                    // nudge the gate CV — a prefetcher parked on a full
-                    // window re-evaluates against the new bound.
-                    nudge_gate();
-                }
-                // retry-exempt: monitor sampling period, not a retry
-                // backoff.
-                std::this_thread::sleep_for(poll);
-            }
-        });
-    }
-
-    // --- trainer threads ----------------------------------------------
+    if (config_.memory_budget != nullptr)
+        pressure_monitor = std::thread(&Pipeline::PressureMonitor, &pipeline);
     std::vector<std::thread> trainers;
-    std::vector<double> stall_seconds(n_gpus, 0.0);
-    std::vector<StatAccumulator> stall_stats(n_gpus);
-    // Per-trainer counter slots, one cache line each; folded into the
-    // shared atomics once per step (before the barrier) instead of one
-    // shared fetch_add per key.
-    std::vector<CacheAligned<TrainerLocalStats>> local_stats(n_gpus);
-    // Per-trainer flush-lag histograms: cooperative-flush applies land
-    // here (flusher slots hold their own); merged after the joins.
-    std::vector<CacheAligned<Histogram>> trainer_lag(n_gpus);
-    for (std::uint32_t g = 0; g < n_gpus; ++g) {
-        trainers.emplace_back([&, t = static_cast<GpuId>(g)] {
-            const std::size_t dim = config_.dim;
-            std::vector<float> values;
-            std::vector<float> grads;
-            std::vector<Key> miss_keys;
-            std::vector<float *> miss_outs;
-            std::vector<std::size_t> owned_miss;
-            std::vector<Step> owned_hint;
-            // Claim buffer for cooperative flushing at the gate, plus
-            // the same 1-in-16 lag sampling the flushers use.
-            std::vector<ClaimTicket> assist;
-            std::size_t lag_tick = 0;
-            // Simulated-PCIe debt for demand gathers, amortized into
-            // sleep quanta (EngineConfig::host_gather_ns).
-            std::uint64_t gather_debt_ns = 0;
-            TrainerLocalStats &local = *local_stats[t];
-            for (Step s = 0; s < n_steps; ++s) {
-                if (trainer_dead[t].load(std::memory_order_acquire)) {
-                    // Injected death: leave the barrier for good. The
-                    // early arrival completes this phase; later phases
-                    // expect one fewer participant.
-                    step_barrier.arrive_and_drop();
-                    return;
-                }
-                // --- the P²F gate ---
-                auto gate_open = [&] {
-                    return prefetch_frontier.load(
-                               std::memory_order_acquire) > s &&
-                           drained_steps.load(std::memory_order_acquire) >=
-                               s &&
-                           (config_.disable_gate_unsafe ||
-                            !queue->HasPendingAtOrBelow(s));
-                };
-                const auto wait_start = std::chrono::steady_clock::now();
-                if (!gate_open()) {
-                    ++local.gate_waits;
-                    // Cooperative flushing: the gate is blocked
-                    // until the pending entries at or below s are
-                    // applied, so apply them *here* instead of
-                    // parking and paying two context switches
-                    // (wake a flusher, then get woken back) per
-                    // step on the critical path. The claim
-                    // protocol makes this safe — whoever wins the
-                    // claim owns the flush — and flush_entry_run
-                    // keeps the per-key order canonical no matter
-                    // who applies. Claims are batched and grouped
-                    // exactly like the flusher loop; the trainer
-                    // cannot die mid-assist (trainer death fires
-                    // at step boundaries), so no claim ledger is
-                    // needed.
-                    // Fruitless passes before escalating from
-                    // yield to a timed CV park.
-                    constexpr std::size_t kAssistYields = 32;
-                    std::size_t idle_passes = 0;
-                    while (!gate_open()) {
-                        const Step floor = current_step.load(
-                            std::memory_order_acquire);
-                        queue->SetScanBounds(
-                            floor, prefetch_frontier.load(
-                                       std::memory_order_acquire));
-                        assist.clear();
-                        // Bounded claim: only the entries blocking
-                        // *this* gate (priority <= s). Later-step
-                        // and deferred entries stay enqueued so
-                        // their writes keep coalescing for the
-                        // flush threads.
-                        if (queue->DequeueClaimBelow(
-                                assist,
-                                // relaxed: degradation knob.
-                                effective_flush_batch.load(
-                                    std::memory_order_relaxed),
-                                t, s) == 0) {
-                            // Nothing claimable: the gate waits on
-                            // the prefetcher/drainer, or the work
-                            // is in flight on a flusher. Yield
-                            // first — on a machine with fewer
-                            // cores than threads that hands the
-                            // timeslice straight to whichever
-                            // thread the gate is waiting for,
-                            // without a futex round trip — and
-                            // only park on the CV after a streak
-                            // of fruitless passes.
-                            if (++idle_passes < kAssistYields) {
-                                std::this_thread::yield();
-                            } else {
-                                std::unique_lock<std::mutex> lock(
-                                    gate_mutex);
-                                gate_cv.wait_for(
-                                    lock,
-                                    std::chrono::microseconds(200),
-                                    gate_open);
-                            }
-                            continue;
-                        }
-                        idle_passes = 0;
-#if FRUGAL_DCHECK_ENABLED
-                        if (auditor_armed)
-                            auditor.OnClaimBatch(assist, floor);
-#endif
-                        // relaxed: monotonic stat counter.
-                        entry_claims.fetch_add(
-                            assist.size(),
-                            std::memory_order_relaxed);
-                        std::sort(assist.begin(), assist.end(),
-                                  [](const ClaimTicket &a,
-                                     const ClaimTicket &b) {
-                                      return a.entry->key() <
-                                             b.entry->key();
-                                  });
-                        std::size_t i = 0;
-                        while (i < assist.size()) {
-                            std::size_t j = i + 1;
-                            while (j < assist.size() &&
-                                   assist[j].entry ==
-                                       assist[i].entry)
-                                ++j;
-                            if (config_.flush_delay_us > 0) {
-                                // retry-exempt: injected delay.
-                                std::this_thread::sleep_for(
-                                    std::chrono::microseconds(
-                                        config_.flush_delay_us *
-                                        static_cast<long>(j - i)));
-                            }
-                            const std::size_t applied =
-                                flush_entry_run(
-                                    *assist[i].entry,
-                                    (lag_tick++ & 0xf) == 0
-                                        ? &*trainer_lag[t]
-                                        : nullptr);
-                            for (std::size_t k = i; k < j; ++k)
-                                queue->OnFlushed(assist[k]);
-                            if (applied > 0) {
-                                updates_applied.fetch_add(
-                                    applied,
-                                    std::memory_order_release);
-                            }
-                            i = j;
-                        }
-                        nudge_gate();
-                    }
-                }
-                const auto wait_end = std::chrono::steady_clock::now();
-                const double stall = Seconds(wait_start, wait_end);
-                stall_seconds[t] += stall;
-                stall_stats[t].Add(stall);
-
-                // Execute every trace GPU assigned to this thread —
-                // just its own while healthy, plus a dead trainer's
-                // share in degraded mode.
-                for (std::uint32_t tg = 0; tg < n_gpus; ++tg) {
-                    const GpuId trace_gpu = static_cast<GpuId>(tg);
-                    if (executor[tg].load(std::memory_order_acquire) != t)
-                        continue;
-
-                    // --- gather (forward) ---
-                    const std::vector<Key> &keys =
-                        trace.KeysFor(s, trace_gpu);
-                    values.resize(keys.size() * dim);
-                    grads.assign(keys.size() * dim, 0.0f);
-                    if (config_.audit_consistency || kDcheckEnabled) {
-                        for (Key key : keys) {
-                            GEntry &entry = registry.GetOrCreate(key);
-                            SpinGuard guard(entry.lock());
-                            // Invariant (2): no pending (unflushed)
-                            // update from an earlier step may exist when
-                            // we read.
-                            if (entry.hasWritesLocked()) {
-                                // relaxed: monotonic stat counter, read
-                                // after joins.
-                                audit_violations.fetch_add(
-                                    1, std::memory_order_relaxed);
-#if FRUGAL_DCHECK_ENABLED
-                                if (auditor_armed)
-                                    auditor.OnReadViolation(key, s);
-#endif
-                            }
-                        }
-                    }
-                    // Split the key list into cache hits (copied by
-                    // TryGet) and host reads, then gather all host rows
-                    // in one batched scatter call. Cache by *executing*
-                    // trainer: after a remap the successor owns the dead
-                    // GPU's shard, so its cache serves those keys too.
-                    miss_keys.clear();
-                    miss_outs.clear();
-                    owned_miss.clear();
-                    owned_hint.clear();
-                    // Oracular hint row: next_use[i] is key i's next
-                    // reading step strictly after s (kNever if none) —
-                    // each hinted TryGet/Put refreshes the slot's
-                    // next-use field so Belady eviction stays current.
-                    const Step *hints =
-                        oracular ? next_use.HintRow(s, trace_gpu).data()
-                                 : nullptr;
-                    for (std::size_t i = 0; i < keys.size(); ++i) {
-                        const Key key = keys[i];
-                        float *out = values.data() + i * dim;
-                        if (ownership_.OwnerOf(key) == t) {
-                            const bool hit =
-                                hints ? caches[t]->TryGet(key, out,
-                                                          hints[i])
-                                      : caches[t]->TryGet(key, out);
-                            if (!hit) {
-                                owned_miss.push_back(miss_keys.size());
-                                owned_hint.push_back(
-                                    hints ? hints[i]
-                                          : GpuCache::kNoFutureUse);
-                                miss_keys.push_back(key);
-                                miss_outs.push_back(out);
-                            }
-                        } else {
-                            // Non-owned: zero-copy UVA read of host
-                            // memory.
-                            miss_keys.push_back(key);
-                            miss_outs.push_back(out);
-                        }
-                    }
-                    if (!miss_keys.empty()) {
-                        table_->ReadRows(miss_keys.data(),
-                                         miss_keys.size(),
-                                         miss_outs.data());
-                        local.host_reads += miss_keys.size();
-                        gather_debt_ns +=
-                            miss_keys.size() *
-                            static_cast<std::uint64_t>(
-                                std::max(0, config_.host_gather_ns));
-                        if (gather_debt_ns >= kGatherSleepQuantumNs) {
-                            // retry-exempt: simulated PCIe latency,
-                            // not a retry backoff.
-                            std::this_thread::sleep_for(
-                                std::chrono::nanoseconds(
-                                    gather_debt_ns));
-                            gather_debt_ns = 0;
-                        }
-                        for (std::size_t j = 0; j < owned_miss.size();
-                             ++j) {
-                            const std::size_t m = owned_miss[j];
-                            if (hints)
-                                caches[t]->Put(miss_keys[m],
-                                               miss_outs[m],
-                                               owned_hint[j]);
-                            else
-                                caches[t]->Put(miss_keys[m],
-                                               miss_outs[m]);
-                        }
-                    }
-
-                    // --- model (forward+backward) ---
-                    grad_fn(trace_gpu, s, keys, values, &grads);
-
-                    // --- emit one batch per (step, trace GPU) ---
-                    // The batch doubles as the end marker: the drainer
-                    // treats the step as complete once n_gpus batches
-                    // for it arrived.
-                    UpdateBatch batch;
-                    batch.step = s;
-                    batch.src = trace_gpu;
-                    batch.keys = &keys;
-                    batch.grads = std::move(grads);
-                    const std::size_t batch_bytes =
-                        batch.grads.size() * sizeof(float);
-                    // Bounded staging: PushFor consumes the batch only
-                    // on success, so a full queue throttles the trainer
-                    // in timed slices (backpressure) instead of growing
-                    // memory without limit. The queue cannot close
-                    // before every trainer joined, so the push always
-                    // lands eventually.
-                    if (!staging.PushFor(batch,
-                                         std::chrono::microseconds(0))) {
-                        ++local.throttle_events;
-                        const auto throttle_start =
-                            std::chrono::steady_clock::now();
-                        while (!staging.PushFor(
-                            batch, std::chrono::milliseconds(1))) {
-                            FRUGAL_CHECK(!staging.closed());
-                        }
-                        local.throttle_wait_ns +=
-                            static_cast<std::uint64_t>(
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(
-                                    std::chrono::steady_clock::now() -
-                                    throttle_start)
-                                    .count());
-                    }
-                    // relaxed: pressure gauge; the monitor tolerates
-                    // skew against the drainer's decrements.
-                    staging_bytes.fetch_add(batch_bytes,
-                                            std::memory_order_relaxed);
-                    local.updates_emitted += keys.size();
-                }
-
-                // Fold the step's local counters into the shared totals
-                // *before* arriving: the checkpoint barrier's quiescence
-                // check (in the barrier completion) compares applied
-                // against emitted and must see this step's emissions.
-                // relaxed: barrier arrival orders these against the
-                // completion callback's reads.
-                host_reads.fetch_add(local.host_reads,
-                                     std::memory_order_relaxed);
-                // relaxed: see above.
-                updates_emitted.fetch_add(local.updates_emitted,
-                                          std::memory_order_relaxed);
-                // relaxed: see above.
-                gate_waits.fetch_add(local.gate_waits,
-                                     std::memory_order_relaxed);
-                // relaxed: see above.
-                throttle_events.fetch_add(local.throttle_events,
-                                          std::memory_order_relaxed);
-                // relaxed: see above.
-                throttle_wait_ns.fetch_add(local.throttle_wait_ns,
-                                           std::memory_order_relaxed);
-                local = TrainerLocalStats{};
-
-                step_barrier.arrive_and_wait();
-            }
-        });
-    }
+    for (std::uint32_t g = 0; g < config_.n_gpus; ++g)
+        trainers.emplace_back(&Pipeline::Trainer, &pipeline,
+                              static_cast<GpuId>(g));
 
     for (auto &t : trainers)
         t.join();
     // All updates are staged; let the pipeline wind down (paper: "the
     // system waits for flushing threads to write all deferred parameter
     // updates to host memory").
-    staging.Close();
-    // Satellite: wake any prefetcher parked on the gate CV so teardown
-    // never waits out a full 50 ms timed re-check slice.
-    nudge_gate();
+    pipeline.CloseStaging();
     drainer.join();
     prefetcher.join();
-    run_complete.store(true, std::memory_order_release);
-
-    if (watchdog != nullptr) {
-        // Recovery-aware wind-down: a flusher may die on the very last
-        // batch, after drain_done. Wait until every slot is quiet and
-        // all updates are applied — the watchdog keeps respawning dead
-        // slots and reclaiming their claims meanwhile.
-        while (true) {
-            bool clean = drain_done.load(std::memory_order_acquire) &&
-                         queue->SizeApprox() == 0;
-            if (clean) {
-                for (const auto &slot : flusher_slots) {
-                    if (slot->dead.load(std::memory_order_acquire) ||
-                        slot->busy.load(std::memory_order_acquire)) {
-                        clean = false;
-                        break;
-                    }
-                    SpinGuard guard(slot->lock);
-                    if (!slot->claimed.empty()) {
-                        clean = false;
-                        break;
-                    }
-                }
-            }
-            // relaxed: trainers are already joined, emitted is final;
-            // acquire on applied makes the flushed writes visible.
-            if (clean &&
-                updates_applied.load(std::memory_order_acquire) >=
-                    updates_emitted.load(std::memory_order_relaxed)) {
-                break;
-            }
-            // retry-exempt: wind-down poll, not a retry backoff.
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        // Stop before joining the slots so recovery can't touch a slot
-        // thread concurrently with the join below.
-        watchdog->Stop();
-    }
-    for (auto &slot : flusher_slots) {
-        if (slot->thread.joinable())
-            slot->thread.join();
-    }
-    monitor_stop.store(true, std::memory_order_release);
+    pipeline.WindDown();
     if (pressure_monitor.joinable())
         pressure_monitor.join();
 
-    const auto run_end = std::chrono::steady_clock::now();
-
-    // --- report --------------------------------------------------------
-    report.wall_seconds = Seconds(run_start, run_end);
-    for (std::uint32_t g = 0; g < n_gpus; ++g) {
-        const GpuCacheStats s = caches[g]->stats();
-        report.cache.hits += s.hits;
-        report.cache.misses += s.misses;
-        report.cache.insertions += s.insertions;
-        report.cache.evictions += s.evictions;
-        report.cache.flush_writes += s.flush_writes;
-        report.cache.warm_inserts += s.warm_inserts;
-        report.cache.warm_hits += s.warm_hits;
-        report.cache.dead_evictions += s.dead_evictions;
-        report.cache.hot_hits += s.hot_hits;
-        report.cache.cold_hits += s.cold_hits;
-        report.cache.admission_declines += s.admission_declines;
-        report.cache.promotions += s.promotions;
-        report.cache.demotions += s.demotions;
-        report.prefetch.rows_warmed += s.warm_inserts;
-        report.prefetch.warm_hits += s.warm_hits;
-        report.prefetch.dead_evictions += s.dead_evictions;
-    }
-    report.prefetch.late_warms = late_warm_count.load();
-    report.prefetch.warms_shed = warms_shed_count.load();
-    // Safe to read without the slot locks: every flusher thread is
-    // joined above, which happens-after its last histogram write.
-    for (const auto &slot : flusher_slots)
-        report.flush_lag.Merge(slot->lag);
-    for (const auto &lag : trainer_lag)
-        report.flush_lag.Merge(*lag);
-    for (const StatAccumulator &stall : stall_stats)
-        report.stall_per_step.Merge(stall);
-    for (double s : stall_seconds)
-        report.stall_seconds_total += s;
-    report.stall_seconds_total /= n_gpus;
-    report.host_reads = host_reads.load();
-    report.updates_emitted = updates_emitted.load();
-    report.updates_applied = updates_applied.load();
-    report.flush_entry_claims = entry_claims.load();
-    report.audit_violations = audit_violations.load();
-    report.gate_waits = gate_waits.load();
-    report.recovery.faults_injected =
-        injector != nullptr ? injector->total_fires() : 0;
-    report.recovery.write_retries = write_retries.load();
-    report.recovery.flusher_deaths = flusher_deaths.load();
-    report.recovery.flusher_respawns = flusher_respawns.load();
-    report.recovery.claims_reclaimed = claims_reclaimed.load();
-    report.recovery.trainer_deaths = trainer_death_count;
-    report.recovery.ownership_remaps = ownership_remap_count;
-    report.recovery.checkpoint_barriers = checkpoint_barriers;
-    report.recovery.checkpoint_retries = checkpoint_retry_count;
-    report.recovery.checkpoint_pause_seconds = checkpoint_pause_seconds;
-    report.recovery.checkpoint_save_seconds = checkpoint_save_seconds;
-    if (watchdog != nullptr)
-        watchdog->Harvest(&report.recovery);
-    report.overload.throttle_events = throttle_events.load();
-    report.overload.throttle_wait_seconds =
-        static_cast<double>(throttle_wait_ns.load()) * 1e-9;
-    report.overload.cache_rows_shed = cache_rows_shed.load();
-    if (budget != nullptr) {
-        report.overload.pressure_transitions = budget->transitions();
-        report.overload.peak_stage = budget->peak_stage();
-        report.overload.peak_tracked_bytes = budget->peak_total_bytes();
-        report.final_pressure_stage = budget->stage();
-    }
-
-    FRUGAL_CHECK_MSG(report.updates_applied == report.updates_emitted,
-                     "flush pipeline lost updates: emitted "
-                         << report.updates_emitted << ", applied "
-                         << report.updates_applied);
-    if (config_.audit_consistency) {
-        // Post-run: every g-entry fully drained.
-        registry.ForEach([&](GEntry &entry) {
-            SpinGuard guard(entry.lock());
-            FRUGAL_CHECK(!entry.hasWritesLocked());
-            FRUGAL_CHECK(!entry.enqueuedLocked());
-        });
-    }
-#if FRUGAL_DCHECK_ENABLED
-    if (auditor_armed) {
-        // Quiescent accounting: queue counters exactly drained, every
-        // g-entry back to the (W = ∅, dequeued, priority = ∞) state.
-        auditor.OnQuiescent(*queue, registry);
-        auditor.ExpectClean();
-        FRUGAL_DEBUG("invariant auditor: " << auditor.checks()
-                                           << " checks, 0 violations");
-    }
-#endif
+    RunReport report = pipeline.Report(
+        Seconds(run_start, std::chrono::steady_clock::now()));
+    report.engine = Name();
     return report;
 }
 

@@ -432,6 +432,50 @@ TEST_F(CheckpointTest, MidTrainingCheckpointResumeBitEqual)
               oracle.optimizer().ExportState());
 }
 
+TEST_F(CheckpointTest, ResumeTwiceLandsBitEqual)
+{
+    // A resumed run's barriers must store the *global* cursor: train
+    // steps 0–39 (barriers after 15 and 31), resume at 32 with barriers
+    // armed and "crash" after step 55 (barrier after 47), then resume
+    // again. The second cursor is 48, and replaying from it lands
+    // bit-equal to one uninterrupted run, table and accumulators.
+    EngineConfig config;
+    config.n_gpus = 2;
+    config.dim = 8;
+    config.key_space = 64;
+    config.flush_threads = 2;
+    config.optimizer = "adagrad";
+    Rng rng(13);
+    ZipfDistribution dist(64, 0.9);
+    const Trace trace = Trace::Synthetic(dist, rng, 64, 2, 8);
+    const GradFn task = MakeLinearGradTask();
+
+    FrugalEngine uninterrupted(config);
+    uninterrupted.Run(trace, task);
+
+    EngineConfig ckpt_config = config;
+    ckpt_config.checkpoint_every_steps = 16;
+    ckpt_config.checkpoint_path = path_;
+    FrugalEngine first(ckpt_config);
+    first.Run(trace.Slice(0, 40), task);
+
+    FrugalEngine second(ckpt_config);
+    const auto cursor = second.ResumeFrom(path_);
+    ASSERT_TRUE(cursor.has_value());
+    ASSERT_EQ(*cursor, 32u);
+    second.Run(trace.Slice(*cursor, 56), task);
+
+    FrugalEngine third(config);
+    const auto second_cursor = third.ResumeFrom(path_);
+    ASSERT_TRUE(second_cursor.has_value());
+    EXPECT_EQ(*second_cursor, 48u);
+    third.Run(trace.Slice(*second_cursor, trace.NumSteps()), task);
+
+    EXPECT_TRUE(TablesBitEqual(third.table(), uninterrupted.table()));
+    EXPECT_EQ(third.optimizer().ExportState(),
+              uninterrupted.optimizer().ExportState());
+}
+
 TEST_F(CheckpointTest, ResumeFromRejectsOptimizerMismatch)
 {
     EngineConfig config;
