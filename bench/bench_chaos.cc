@@ -3,22 +3,18 @@
  *
  * Two runs over the same Zipf trace on the real FrugalEngine:
  *
- *  1. healthy  — no faults, unbounded staging, no memory budget: the
- *     throughput baseline;
- *  2. chaos    — a seeded campaign layered on a *4×-over-capacity*
- *     staging bound (the per-step batch fan-in is four batches, the
- *     queue holds one): a mid-run trainer death pushes the survivor's
- *     doubled emissions through the throttle path, flush threads die
- *     and get respawned, host writes fail transiently, the drainer
- *     stalls, and halfway in the memory budget is squeezed to 50% of
- *     live usage (degradation to kCritical) before an operator-relief
- *     restore.
+ *  1. healthy  — no faults, no memory budget: the throughput baseline;
+ *  2. chaos    — a seeded campaign: a mid-run trainer death leaves the
+ *     survivor posting its dead peer's batches as well as its own,
+ *     flush threads die and get respawned, host writes fail
+ *     transiently, the drainer stalls, and partway in the memory budget
+ *     is squeezed to 50% of live usage (degradation to kCritical)
+ *     before an operator-relief restore.
  *
  * The contract this demonstrates: under all of that the engine degrades
- * instead of failing — steps/s drops but stays nonzero, tracked bytes
- * stay bounded by backpressure, the pressure stages transition both
- * ways, and the trained table is still *bit-equal* to the fault-free
- * oracle. A chaos run that diverges from the oracle exits nonzero: this
+ * instead of failing — steps/s drops but stays nonzero, the pressure
+ * stages transition both ways, and the trained table is still
+ * *bit-equal* to the fault-free oracle. A chaos run that diverges from the oracle exits nonzero: this
  * binary is a gate, not just a reporter.
  *
  * Emits BENCH_chaos.json; `--smoke` shrinks the soak for CI, `--out
@@ -30,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/distribution.h"
 #include "common/fault_injector.h"
 #include "common/memory_budget.h"
@@ -45,13 +42,6 @@
 
 namespace frugal {
 namespace {
-
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
 
 struct Sizes
 {
@@ -98,9 +88,8 @@ ChaosPlan(const Sizes &sizes)
     flaky_writes.probability = 0.01;
     plan.rules.push_back(flaky_writes);
 
-    // The survivor of this death emits its dead peer's batch
-    // back-to-back with its own every remaining step — sustained
-    // pressure against the one-batch staging bound.
+    // Degraded mode: the survivor of this death posts its dead peer's
+    // batch as well as its own every remaining step.
     FaultRule trainer_death;
     trainer_death.site = FaultSite::kTrainerDeath;
     trainer_death.context = sizes.steps / 8;
@@ -125,28 +114,6 @@ StepsPerSecond(const RunReport &report)
                : 0.0;
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -155,31 +122,21 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_chaos.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    const std::optional<BenchArgs> args =
+        ParseBenchArgs(argc, argv, "BENCH_chaos.json");
+    if (!args)
+        return 2;
 
     Sizes sizes;
-    if (smoke) {
+    if (args->smoke) {
         sizes.key_space = 512;
         sizes.steps = 600;
         sizes.keys_per_gpu = 8;
     }
 
     PrintBanner("Chaos / overload soak (DESIGN.md §12.4)",
-                "seeded fault campaign + 4x-over-capacity backpressure "
-                "+ mid-run 50% budget squeeze, verified bit-equal");
+                "seeded fault campaign + trainer death + mid-run 50% "
+                "budget squeeze, verified bit-equal");
 
     const GradFn task = MakeLinearGradTask();
     Rng rng(7331);
@@ -211,7 +168,6 @@ main(int argc, char **argv)
     MemoryBudget budget(1u << 30);
     EngineConfig chaos_config = BaseConfig(sizes);
     chaos_config.fault_injector = &injector;
-    chaos_config.staging_capacity = 1;  // fan-in is n_gpus batches: 4x
     chaos_config.memory_budget = &budget;
     chaos_config.memory_poll_ms = 1;
     const Step squeeze_step = static_cast<Step>(sizes.steps / 3);
@@ -236,14 +192,13 @@ main(int argc, char **argv)
     const double chaos_sps = StepsPerSecond(chaos);
 
     TablePrinter summary("Healthy vs chaos campaign",
-                         {"Run", "Steps/s", "Bit-equal", "Throttles",
-                          "Peak stage", "Peak tracked MiB"});
+                         {"Run", "Steps/s", "Bit-equal", "Peak stage",
+                          "Peak tracked MiB"});
     summary.AddRow({"healthy", FormatDouble(healthy_sps, 1),
-                    healthy_equal ? "yes" : "NO", "0", "normal", "-"});
+                    healthy_equal ? "yes" : "NO", "normal", "-"});
     summary.AddRow(
         {"chaos", FormatDouble(chaos_sps, 1),
          chaos_equal ? "yes" : "NO",
-         std::to_string(chaos.overload.throttle_events),
          PressureStageName(
              static_cast<PressureStage>(chaos.overload.peak_stage)),
          FormatDouble(static_cast<double>(
@@ -262,9 +217,6 @@ main(int argc, char **argv)
     metrics.push_back(
         Metric{"chaos_steps_per_s_degraded", chaos_sps, "steps/s"});
     metrics.push_back(Metric{
-        "chaos_throttle_events",
-        static_cast<double>(chaos.overload.throttle_events), "count"});
-    metrics.push_back(Metric{
         "chaos_pressure_transitions",
         static_cast<double>(chaos.overload.pressure_transitions),
         "count"});
@@ -281,7 +233,7 @@ main(int argc, char **argv)
     metrics.push_back(Metric{
         "chaos_write_retries",
         static_cast<double>(chaos.recovery.write_retries), "count"});
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args->out_path);
 
     bool ok = true;
     if (!healthy_equal || !chaos_equal) {

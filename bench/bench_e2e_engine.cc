@@ -2,7 +2,7 @@
  * End-to-end FrugalEngine throughput benchmark (DESIGN.md §9).
  *
  * Unlike the microbenchmarks, this drives the *real* engine — trainer
- * threads, prefetcher, staging queue, two-level PQ, flush threads and
+ * threads, prefetcher, staging board, two-level PQ, flush threads and
  * the P²F gate all running for real — across a {1,2,4} trainers ×
  * {1,2,4} flush threads grid on a Zipf-skewed synthetic trace. Each
  * cell reports steps/s and the flush-lag percentiles (staging-to-commit
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/distribution.h"
 #include "common/rng.h"
 #include "data/trace.h"
@@ -31,13 +32,6 @@
 
 namespace frugal {
 namespace {
-
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
 
 /**
  * Grid workload. Deliberately light on per-step arithmetic (32 keys per
@@ -108,28 +102,6 @@ RunCell(const EngineConfig &config, const Trace &trace,
     return result;
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -138,23 +110,13 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_e2e.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    const std::optional<BenchArgs> args =
+        ParseBenchArgs(argc, argv, "BENCH_e2e.json");
+    if (!args)
+        return 2;
 
     Sizes sizes;
-    if (smoke) {
+    if (args->smoke) {
         sizes.key_space = 512;
         sizes.steps = 30;
         sizes.keys_per_gpu = 16;
@@ -248,7 +210,7 @@ main(int argc, char **argv)
 
     grid.Print();
 
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args->out_path);
     if (!all_bit_equal) {
         std::fprintf(stderr,
                      "bit-equality verification FAILED; numbers above "

@@ -1,16 +1,14 @@
 /**
  * Data-plane hot-path microbenchmark (DESIGN.md §8).
  *
- * Measures the four paths the flat-layout overhaul rewrote, each against
- * an inline *legacy* reference that reproduces the pre-rewrite
+ * Measures the paths the flat-layout overhaul rewrote, each against an
+ * inline *legacy* reference that reproduces the pre-rewrite
  * implementation shape:
  *
  *  - cache get / put: FlatMap + intrusive-array LRU GpuCache vs an
  *    unordered_map + std::list node-based LRU;
  *  - registry get-or-create: single-probe TryEmplace + arena GEntries vs
  *    find-then-emplace over unordered_map<Key, unique_ptr<GEntry>>;
- *  - update-pipeline drain: one UpdateBatch per (step, GPU) vs one
- *    heap-allocated message per key plus end markers;
  *  - row kernels: vectorised copy / SGD / Adagrad bandwidth.
  *
  * Emits BENCH_hotpath.json (one {"metric", "value", "unit"} record per
@@ -25,12 +23,11 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "bench_util.h"
 #include "cache/gpu_cache.h"
-#include "common/blocking_queue.h"
 #include "common/spinlock.h"
 #include "common/types.h"
 #include "metrics/reporter.h"
@@ -48,14 +45,6 @@ SecondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-/** One benchmark result; serialised to BENCH_hotpath.json. */
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
 
 // --- legacy reference implementations (pre-rewrite shape) --------------
 
@@ -149,24 +138,6 @@ class LegacyRegistry
     std::vector<Shard> shards_;
 };
 
-/** The old staging-queue element: one message per key + end markers. */
-struct LegacyMsg
-{
-    Key key = 0;
-    Step step = 0;
-    GpuId src = 0;
-    bool end_marker = false;
-    std::vector<float> grad;
-};
-
-/** The new staging-queue element (mirrors the engine's UpdateBatch). */
-struct HotBatch
-{
-    Step step = 0;
-    GpuId src = 0;
-    const std::vector<Key> *keys = nullptr;
-    std::vector<float> grads;
-};
 
 // --- benchmarks --------------------------------------------------------
 
@@ -177,9 +148,6 @@ struct Sizes
     std::size_t cache_ops = 2'000'000;
     std::size_t registry_keys = 200'000;
     std::size_t registry_passes = 8;
-    Step pipeline_steps = 64;
-    std::uint32_t pipeline_gpus = 4;
-    std::size_t pipeline_keys_per_gpu = 2048;
     std::size_t kernel_rows = 1 << 15;
     std::size_t kernel_passes = 64;
 };
@@ -256,142 +224,6 @@ RunRegistryBench(Registry &registry, const Sizes &sizes)
     return rate;
 }
 
-/** Legacy pipeline: producer pushes one message per key + an end marker
- *  per (step, GPU); consumer buffers until every marker arrived, then
- *  sorts and discards. Returns drained updates/s. */
-double
-RunLegacyPipeline(const Sizes &sizes,
-                  const std::vector<std::vector<Key>> &per_gpu_keys)
-{
-    const std::size_t total = sizes.pipeline_gpus *
-                              sizes.pipeline_keys_per_gpu *
-                              static_cast<std::size_t>(sizes.pipeline_steps);
-    BlockingQueue<LegacyMsg> staging(1 << 15);
-    const auto start = Clock::now();
-    std::thread producer([&] {
-        for (Step s = 0; s < sizes.pipeline_steps; ++s) {
-            for (std::uint32_t g = 0; g < sizes.pipeline_gpus; ++g) {
-                for (Key key : per_gpu_keys[g]) {
-                    LegacyMsg msg;
-                    msg.key = key;
-                    msg.step = s;
-                    msg.src = static_cast<GpuId>(g);
-                    msg.grad.assign(sizes.dim, 0.5f);
-                    staging.Push(std::move(msg));
-                }
-                LegacyMsg marker;
-                marker.step = s;
-                marker.src = static_cast<GpuId>(g);
-                marker.end_marker = true;
-                staging.Push(std::move(marker));
-            }
-        }
-        staging.Close();
-    });
-    std::size_t drained = 0;
-    std::vector<std::vector<LegacyMsg>> buffers(
-        static_cast<std::size_t>(sizes.pipeline_steps));
-    std::vector<std::uint32_t> markers(
-        static_cast<std::size_t>(sizes.pipeline_steps), 0);
-    while (true) {
-        auto popped = staging.PopBatchFor(
-            std::size_t{512}, std::chrono::milliseconds(50));
-        if (popped.empty()) {
-            if (staging.closed())
-                break;
-            continue;
-        }
-        for (LegacyMsg &msg : popped) {
-            if (!msg.end_marker) {
-                buffers[msg.step].push_back(std::move(msg));
-                continue;
-            }
-            if (++markers[msg.step] < sizes.pipeline_gpus)
-                continue;
-            std::sort(buffers[msg.step].begin(), buffers[msg.step].end(),
-                      [](const LegacyMsg &a, const LegacyMsg &b) {
-                          return a.key != b.key ? a.key < b.key
-                                                : a.src < b.src;
-                      });
-            drained += buffers[msg.step].size();
-            buffers[msg.step].clear();
-            buffers[msg.step].shrink_to_fit();
-        }
-    }
-    producer.join();
-    const double rate = static_cast<double>(drained) / SecondsSince(start);
-    FRUGAL_CHECK(drained == total);
-    return rate;
-}
-
-/** New pipeline: one batch per (step, GPU); the batch is the marker.
- *  Mirrors the engine's drainer including the (key, src) index sort. */
-double
-RunBatchedPipeline(const Sizes &sizes,
-                   const std::vector<std::vector<Key>> &per_gpu_keys)
-{
-    const std::size_t total = sizes.pipeline_gpus *
-                              sizes.pipeline_keys_per_gpu *
-                              static_cast<std::size_t>(sizes.pipeline_steps);
-    BlockingQueue<HotBatch> staging(1 << 15);
-    const auto start = Clock::now();
-    std::thread producer([&] {
-        for (Step s = 0; s < sizes.pipeline_steps; ++s) {
-            for (std::uint32_t g = 0; g < sizes.pipeline_gpus; ++g) {
-                HotBatch batch;
-                batch.step = s;
-                batch.src = static_cast<GpuId>(g);
-                batch.keys = &per_gpu_keys[g];
-                batch.grads.assign(
-                    per_gpu_keys[g].size() * sizes.dim, 0.5f);
-                staging.Push(std::move(batch));
-            }
-        }
-        staging.Close();
-    });
-    struct RowRef
-    {
-        Key key;
-        GpuId src;
-    };
-    std::size_t drained = 0;
-    std::vector<std::vector<HotBatch>> step_batches(
-        static_cast<std::size_t>(sizes.pipeline_steps));
-    std::vector<RowRef> order;
-    while (true) {
-        auto popped = staging.PopBatchFor(
-            std::size_t{64}, std::chrono::milliseconds(50));
-        if (popped.empty()) {
-            if (staging.closed())
-                break;
-            continue;
-        }
-        for (HotBatch &incoming : popped) {
-            const Step s = incoming.step;
-            step_batches[s].push_back(std::move(incoming));
-            if (step_batches[s].size() < sizes.pipeline_gpus)
-                continue;
-            order.clear();
-            for (const HotBatch &batch : step_batches[s]) {
-                for (Key key : *batch.keys)
-                    order.push_back(RowRef{key, batch.src});
-            }
-            std::sort(order.begin(), order.end(),
-                      [](const RowRef &a, const RowRef &b) {
-                          return a.key != b.key ? a.key < b.key
-                                                : a.src < b.src;
-                      });
-            drained += order.size();
-            step_batches[s].clear();
-            step_batches[s].shrink_to_fit();
-        }
-    }
-    producer.join();
-    const double rate = static_cast<double>(drained) / SecondsSince(start);
-    FRUGAL_CHECK(drained == total);
-    return rate;
-}
-
 double
 GigabytesPerSecond(std::size_t bytes_touched, double seconds)
 {
@@ -449,28 +281,6 @@ RunKernelBench(const Sizes &sizes, std::vector<Metric> &metrics)
         "GB/s"});
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -479,33 +289,21 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_hotpath.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--out PATH]\n", argv[0]);
-            return 2;
-        }
-    }
+    const std::optional<BenchArgs> args =
+        ParseBenchArgs(argc, argv, "BENCH_hotpath.json");
+    if (!args)
+        return 2;
 
     PrintBanner("Hot path (DESIGN.md §8)",
-                "flat cache / registry / batched pipeline / row kernels "
+                "flat cache / registry / row kernels "
                 "vs legacy shapes");
 
     Sizes sizes;
-    if (smoke) {
+    if (args->smoke) {
         sizes.cache_rows = 1 << 12;
         sizes.cache_ops = 100'000;
         sizes.registry_keys = 20'000;
         sizes.registry_passes = 4;
-        sizes.pipeline_steps = 8;
-        sizes.pipeline_keys_per_gpu = 512;
         sizes.kernel_rows = 1 << 12;
         sizes.kernel_passes = 8;
     }
@@ -543,22 +341,6 @@ main(int argc, char **argv)
     metrics.push_back(Metric{"legacy_registry_get_or_create_rate",
                              legacy_registry_rate, "ops/s"});
 
-    // --- update pipeline ---
-    std::vector<std::vector<Key>> per_gpu_keys(sizes.pipeline_gpus);
-    for (std::uint32_t g = 0; g < sizes.pipeline_gpus; ++g) {
-        per_gpu_keys[g].resize(sizes.pipeline_keys_per_gpu);
-        for (std::size_t k = 0; k < sizes.pipeline_keys_per_gpu; ++k) {
-            per_gpu_keys[g][k] = static_cast<Key>(
-                g * sizes.pipeline_keys_per_gpu + k);
-        }
-    }
-    const double batched_rate = RunBatchedPipeline(sizes, per_gpu_keys);
-    const double legacy_rate = RunLegacyPipeline(sizes, per_gpu_keys);
-    metrics.push_back(
-        Metric{"pipeline_drain_rate", batched_rate, "updates/s"});
-    metrics.push_back(
-        Metric{"legacy_pipeline_drain_rate", legacy_rate, "updates/s"});
-
     // --- row kernels ---
     RunKernelBench(sizes, metrics);
 
@@ -569,8 +351,6 @@ main(int argc, char **argv)
                              put_rate / legacy_put, "x"});
     metrics.push_back(Metric{"registry_speedup",
                              registry_rate / legacy_registry_rate, "x"});
-    metrics.push_back(Metric{"pipeline_speedup",
-                             batched_rate / legacy_rate, "x"});
 
     TablePrinter table("Hot-path throughput (new vs legacy shape)",
                        {"Path", "New", "Legacy", "Speedup"});
@@ -584,9 +364,6 @@ main(int argc, char **argv)
                   FormatCount(registry_rate),
                   FormatCount(legacy_registry_rate),
                   FormatSpeedup(registry_rate / legacy_registry_rate)});
-    table.AddRow({"pipeline drain (updates/s)",
-                  FormatCount(batched_rate), FormatCount(legacy_rate),
-                  FormatSpeedup(batched_rate / legacy_rate)});
     table.Print();
 
     TablePrinter kernels("Row kernels (dim 32)", {"Kernel", "GB/s"});
@@ -596,6 +373,6 @@ main(int argc, char **argv)
     }
     kernels.Print();
 
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args->out_path);
     return 0;
 }

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/distribution.h"
 #include "common/rng.h"
 #include "data/next_use.h"
@@ -44,13 +45,6 @@
 
 namespace frugal {
 namespace {
-
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
 
 /**
  * Workload sized so the cache policy is the bottleneck under test:
@@ -121,28 +115,6 @@ RunCell(const EngineConfig &config, const Trace &trace,
     return result;
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -151,23 +123,13 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_prefetch.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    const std::optional<BenchArgs> args =
+        ParseBenchArgs(argc, argv, "BENCH_prefetch.json");
+    if (!args)
+        return 2;
 
     Sizes sizes;
-    if (smoke) {
+    if (args->smoke) {
         sizes.key_space = 1024;
         sizes.steps = 40;
         sizes.keys_per_gpu = 32;
@@ -365,7 +327,7 @@ main(int argc, char **argv)
                      FormatDouble((on_hr - off_hr) * 100, 1) + " pp"});
     headline.Print();
 
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args->out_path);
     if (!all_bit_equal) {
         std::fprintf(stderr,
                      "bit-equality verification FAILED; numbers above "

@@ -31,6 +31,47 @@ failures=0
 note()  { printf '\n== %s ==\n' "$*"; }
 skip()  { printf -- '-- skipped: %s\n' "$*"; }
 
+# baseline_diff BENCH JSON: compares build/JSON, written by a fresh
+# `BENCH --smoke` run, against the committed baseline JSON. The diff is
+# WARN-ONLY: absolute numbers vary by host; the point is to notice a
+# vanished metric or an order-of-magnitude regression, not to gate on
+# machine noise.
+baseline_diff() {
+    python3 - "$1" "$2" <<'EOF' || true
+import json
+import sys
+
+bench, name = sys.argv[1], sys.argv[2]
+
+def load(path):
+    with open(path) as fh:
+        return {m["metric"]: m for m in json.load(fh)}
+
+try:
+    baseline = load(name)
+except OSError:
+    print(f"WARN: no committed {name} baseline")
+    raise SystemExit(0)
+fresh = load(f"build/{name}")
+
+for metric in sorted(set(baseline) | set(fresh)):
+    if metric not in fresh:
+        print(f"WARN: metric '{metric}' in baseline but not produced")
+    elif metric not in baseline:
+        print(f"WARN: new metric '{metric}' missing from the baseline")
+    elif baseline[metric]["unit"] != fresh[metric]["unit"]:
+        print(f"WARN: metric '{metric}' changed unit "
+              f"{baseline[metric]['unit']} -> {fresh[metric]['unit']}")
+    else:
+        old, new = baseline[metric]["value"], fresh[metric]["value"]
+        if old > 0 and new < old / 10:
+            print(f"WARN: metric '{metric}' collapsed {old:.3g} -> "
+                  f"{new:.3g} (>10x below baseline; smoke sizes, "
+                  f"but worth a look)")
+print(f"{bench} baseline diff done (warnings are non-fatal)")
+EOF
+}
+
 # --- 1. formatting -----------------------------------------------------
 note "clang-format (dry run)"
 if command -v clang-format >/dev/null 2>&1; then
@@ -116,42 +157,11 @@ fi
 
 # --- 4b. hot-path microbenchmark smoke + baseline diff -------------------
 # Runs bench_hotpath in smoke mode (small sizes, seconds) as a build/run
-# canary, then compares the fresh metrics against the committed baseline
-# BENCH_hotpath.json. The diff is WARN-ONLY: absolute numbers vary by
-# host; the point is to notice a vanished metric or an order-of-magnitude
-# regression, not to gate on machine noise.
+# canary, then diffs the fresh metrics against the committed baseline
+# BENCH_hotpath.json (warn-only; see baseline_diff).
 note "bench_hotpath smoke + baseline diff (warn-only)"
 if ./build/bench/bench_hotpath --smoke --out build/BENCH_hotpath.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_hotpath.json")
-except OSError:
-    print("WARN: no committed BENCH_hotpath.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_hotpath.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_hotpath baseline diff done (warnings are non-fatal)")
-EOF
+    baseline_diff bench_hotpath BENCH_hotpath.json
 else
     failures=$((failures + 1))
 fi
@@ -164,36 +174,7 @@ fi
 # The metric diff against the committed BENCH_e2e.json stays warn-only.
 note "bench_e2e_engine smoke + baseline diff (warn-only)"
 if ./build/bench/bench_e2e_engine --smoke --out build/BENCH_e2e.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_e2e.json")
-except OSError:
-    print("WARN: no committed BENCH_e2e.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_e2e.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_e2e_engine baseline diff done (warnings are non-fatal)")
-EOF
+    baseline_diff bench_e2e_engine BENCH_e2e.json
 else
     failures=$((failures + 1))
 fi
@@ -206,36 +187,7 @@ fi
 # stays warn-only — smoke sizes make throughput cells noisy by design.
 note "bench_prefetch smoke + baseline diff (warn-only)"
 if ./build/bench/bench_prefetch --smoke --out build/BENCH_prefetch.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_prefetch.json")
-except OSError:
-    print("WARN: no committed BENCH_prefetch.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_prefetch.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_prefetch baseline diff done (warnings are non-fatal)")
-EOF
+    baseline_diff bench_prefetch BENCH_prefetch.json
 else
     failures=$((failures + 1))
 fi
@@ -251,43 +203,14 @@ fi
 note "bench_cache_policy smoke + baseline diff (warn-only)"
 if ./build/bench/bench_cache_policy --smoke \
         --out build/BENCH_cache_policy.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_cache_policy.json")
-except OSError:
-    print("WARN: no committed BENCH_cache_policy.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_cache_policy.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_cache_policy baseline diff done (warnings are non-fatal)")
-EOF
+    baseline_diff bench_cache_policy BENCH_cache_policy.json
 else
     failures=$((failures + 1))
 fi
 
 # --- 4d. chaos/overload smoke -------------------------------------------
 # A shrunken seeded chaos campaign against the real engine: flusher
-# deaths, flaky writes, a trainer death against a one-slot staging bound,
+# deaths, flaky writes, drain stalls, a trainer death (degraded mode),
 # and a mid-run memory-budget squeeze. The binary is its own hard gate —
 # it exits non-zero if the degraded run diverges from the fault-free
 # oracle, stalls, or never reaches kCritical (DESIGN.md §12.4).

@@ -65,8 +65,8 @@ CONTAINER_RE = re.compile(
 MEMORD_RE = re.compile(r"\bmemory_order(?:::|_)(\w+)")
 
 # Directly-blocking primitives (facts.BlockingSite). Everything
-# higher-level (PopFor, Mutex acquisition, RetryWithBackoff) reaches the
-# checks transitively through call-graph summaries.
+# higher-level (GateSignal::WaitFor, Mutex acquisition, RetryWithBackoff)
+# reaches the checks transitively through call-graph summaries.
 BLOCKING_METHODS = ("wait", "wait_for", "wait_until")     # receiver form
 SLEEP_FNS = ("sleep_for", "sleep_until")
 FILE_IO_FNS = ("fopen", "fread", "fwrite", "fclose", "fflush", "fsync",

@@ -79,10 +79,11 @@ HOT_FUNCTIONS = (
     "Pipeline::ApplyClaims",
     "Pipeline::FlushEntryRun",
     "Pipeline::RefreshCache",
-    # Trainer gather stage: cache probes, batched miss gather, refills.
-    # (The emit stage is not listed: its per-(step, GPU) gradient buffer
-    # is a real allocation, tracked on ROADMAP item 3.)
+    # Trainer gather stage: cache probes, batched miss gather, refills;
+    # and the emit stage: model callback into the GPU's reused board
+    # slot, then the post.
     "Pipeline::Gather",
+    "Pipeline::Emit",
     # Drainer per-step registration and the g-entry W-set insert it runs
     # once per staged update record.
     "Pipeline::RegisterStep",

@@ -5,7 +5,7 @@
  * Frugal targets capacity-constrained commodity hosts, so "resources
  * ran out" is an operating mode, not an error. The MemoryBudget tracks
  * the bytes held by the engine's dynamic components — g-entry arenas,
- * flat-map indexes, GPU caches, the update staging queue — against a
+ * flat-map indexes, GPU caches, the update staging board — against a
  * caller-set budget and classifies the total into pressure stages:
  *
  *   kNormal    usage < 70% of budget — run at full configuration.
@@ -46,7 +46,8 @@ enum class MemoryComponent : std::uint8_t {
     kFlatMap,
     /** GpuCache row storage + LRU bookkeeping. */
     kCache,
-    /** Update staging queue payload (gradient batches in flight). */
+    /** Staging board payload (posted gradient batches not yet
+     *  registered; at most one step's). */
     kQueue,
     kComponentCount,
 };

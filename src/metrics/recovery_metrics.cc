@@ -42,9 +42,6 @@ TablePrinter
 OverloadTable(const OverloadCounters &c, const std::string &caption)
 {
     TablePrinter table(caption, {"metric", "value"});
-    table.AddRow({"throttle events",
-                  FormatCount(static_cast<double>(c.throttle_events))});
-    table.AddRow({"throttle wait", FormatSeconds(c.throttle_wait_seconds)});
     table.AddRow({"pressure transitions",
                   FormatCount(static_cast<double>(c.pressure_transitions))});
     table.AddRow({"peak stage",

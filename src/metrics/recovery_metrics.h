@@ -59,22 +59,18 @@ TablePrinter RecoveryTable(const RecoveryCounters &counters,
                            const std::string &caption);
 
 /**
- * Overload/degradation counters (DESIGN.md §12): what backpressure and
- * the memory-pressure monitor did during a run. All zero on a run with
- * an unbounded queue and no memory budget.
+ * Overload/degradation counters (DESIGN.md §12): what the
+ * memory-pressure monitor did during a run. All zero on a run without a
+ * memory budget.
  */
 struct OverloadCounters
 {
-    /** Trainer pushes that hit a full staging queue and throttled. */
-    std::uint64_t throttle_events = 0;
-    /** Wall time trainers spent blocked on backpressure. */
-    double throttle_wait_seconds = 0.0;
     /** Pressure-stage changes observed by the monitor. */
     std::uint64_t pressure_transitions = 0;
     /** Highest pressure stage reached (0 normal / 1 elevated /
      *  2 critical). */
     std::uint32_t peak_stage = 0;
-    /** Largest tracked total across arena/index/cache/queue gauges. */
+    /** Largest tracked total across arena/index/cache/staging gauges. */
     std::uint64_t peak_tracked_bytes = 0;
     /** Cache rows emergency-evicted by critical-stage shrinks. */
     std::uint64_t cache_rows_shed = 0;

@@ -4,7 +4,7 @@
  *
  * An Engine executes a multi-GPU synchronous embedding-training run over
  * a key Trace: every simulated GPU is a real thread, every parameter is a
- * real float row, and every consistency mechanism (caches, staging queue,
+ * real float row, and every consistency mechanism (caches, staging board,
  * PQ, gate) runs for real. The *model* is injected as a gradient callback
  * so the same engines train microbenchmarks (Exp #1), DLRM (Exp #7) and
  * KG scorers (Exp #6) unchanged.
@@ -88,23 +88,10 @@ struct EngineConfig
     std::size_t pq_shards = 0;
 
     /**
-     * Update staging queue capacity, in per-(step, GPU) batches (each
-     * batch carries one trace GPU's whole step of gradients). The
-     * default is large enough that trainers never block. A trainer
-     * whose push finds the queue full *throttles* (timed PushFor loop,
-     * counted per trainer in RunReport::overload) until the flush tier
-     * catches up, so a small capacity is a backpressure bound: a slow
-     * flush tier slows trainers down instead of growing RSS without
-     * limit. Liveness is preserved because the drainer keeps draining
-     * regardless of the bound.
-     */
-    std::size_t staging_capacity = 1 << 15;
-
-    /**
      * Optional memory-pressure monitor (FrugalEngine only); the caller
      * owns it and keeps it alive across Run. When set, the engine
      * publishes its component byte gauges (registry arena/index, GPU
-     * caches, staging queue) into the budget every monitor period and
+     * caches, staging board) into the budget every monitor period and
      * applies staged degradation reactions on pressure transitions:
      * elevated sheds prefetch lookahead and flush coalescing width;
      * critical additionally shrinks the GPU caches online
@@ -165,8 +152,8 @@ struct EngineConfig
 
     /**
      * Take a consistent checkpoint every N steps (0 = never). The
-     * barrier runs at the step boundary: trainers are held, staging +
-     * PQ + in-flight claims drain, then the table, optimizer state and
+     * barrier runs at the step boundary: trainers are held, the staging
+     * board + PQ + in-flight claims drain, then the table, optimizer state and
      * trace cursor are snapshotted to `checkpoint_path`.
      */
     std::size_t checkpoint_every_steps = 0;

@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/blocking_queue.h"
 #include "common/cacheline.h"
 #include "common/fault_injector.h"
 #include "common/logging.h"
@@ -45,16 +44,17 @@ constexpr std::uint64_t kGatherSleepQuantumNs = 100'000;
 constexpr int kHostWriteAttempts = 13;
 
 /**
- * One message in the update staging queue: everything one trace GPU
- * produced in one step — the key list and one contiguous gradient
- * buffer. Because a trainer emits everything for (step, src) at once,
- * the batch itself IS the end marker: a step is complete when n_gpus
- * batches for it arrived.
+ * One trace GPU's slot on the staging board: the key list and the
+ * gradients that GPU produced in one step; posting it is the GPU's
+ * end-of-step marker. A trainer writes its slot for step s only once
+ * the drainer has published drained_steps_ >= s, which it does only
+ * after it is done with step s - 1's slots (DESIGN.md §12.1), so a slot
+ * needs no lock and its buffer is reused from step to step.
  */
-struct UpdateBatch
+struct BoardSlot
 {
+    /** The step the slot was last posted for (the drainer checks it). */
     Step step = 0;
-    GpuId src = 0;
     /** The step's deduplicated key list. Points into the Trace, which
      *  outlives the run; the drainer only reads it. */
     const std::vector<Key> *keys = nullptr;
@@ -62,13 +62,12 @@ struct UpdateBatch
     std::vector<float> grads;
 };
 
-/** Row `row` of a completed step's batch `batch`, keyed for sorting the
+/** Row `row` of a posted step's slot `src`, keyed for sorting the
  *  step's records into canonical (key, src) order. */
 struct RowRef
 {
     Key key;
     GpuId src;
-    std::uint32_t batch;
     std::uint32_t row;
 };
 
@@ -105,10 +104,6 @@ struct TrainerSlot
 {
     std::uint64_t host_reads = 0;
     std::uint64_t gate_waits = 0;
-    /** Pushes that found the bounded staging queue full (backpressure). */
-    std::uint64_t throttle_events = 0;
-    /** Time spent blocked on backpressure. */
-    double throttle_wait_seconds = 0.0;
     double stall_seconds = 0.0;
     StatAccumulator stall;
     /** Cooperative-flush applies (flusher slots hold their own). */
@@ -168,11 +163,13 @@ struct FlusherSlot
 };
 
 /**
- * The gate's wakeup channel. Trainers, the prefetcher and the
- * checkpoint barrier park on the one condition variable; every producer
+ * A wakeup channel. The gate's (Pipeline::gate_): trainers, the
+ * prefetcher and the checkpoint barrier park on it, and every producer
  * of gate progress (frontier advance, drained step, applied flush, step
- * boundary, pressure transition) nudges it. Waits are timed because a
- * recovery path can lose a wakeup.
+ * boundary, pressure transition) nudges it. The drainer parks on its
+ * own (Pipeline::board_signal_), which only the post that completes a
+ * step nudges. Waits are timed because a recovery path can lose a
+ * wakeup.
  */
 struct GateSignal
 {
@@ -225,7 +222,7 @@ class Pipeline
         : config_(config), table_(table), optimizer_(optimizer),
           ownership_(ownership), first_step_(first_step), trace_(trace),
           grad_fn_(grad_fn), step_hook_(step_hook), executor_(n_gpus_),
-          trainer_dead_(n_gpus_), trainers_(n_gpus_),
+          trainer_dead_(n_gpus_), board_(n_gpus_), trainers_(n_gpus_),
           step_barrier_(static_cast<std::ptrdiff_t>(n_gpus_),
                         StepCompletion{this}),
           watchdog_(
@@ -362,57 +359,53 @@ class Pipeline
         }
     }
 
-    /** The staging drain thread: collects each step's batches and
-     *  registers the step once all n_gpus of them arrived. */
+    /** The staging drain thread: registers each step straight from the
+     *  board once all n_gpus slots are posted, then hands the slots back
+     *  by publishing drained_steps_ = s + 1. */
     void
     Drainer()
     {
-        std::vector<std::vector<UpdateBatch>> step_batches(n_steps_);
-        while (true) {
-            // Timed pop: a drain loop that can wake on its own never
-            // hangs on a dead producer, and the watchdog can observe
-            // staging_size while we are parked here.
-            auto popped = staging_.PopBatchFor(
-                std::size_t{64}, std::chrono::milliseconds(100));
-            if (popped.empty()) {
-                if (staging_.closed())
-                    break;  // closed and drained
-                continue;   // timed out; keep waiting
+        const auto step_posted = [&] {
+            return posted_.load(std::memory_order_acquire) == n_gpus_;
+        };
+        for (Step s = 0; s < n_steps_; ++s) {
+            // Timed like every GateSignal wait; the post that completes
+            // the step nudges only after its increment.
+            while (!board_signal_.WaitFor(std::chrono::milliseconds(100),
+                                          step_posted)) {
             }
-            for (UpdateBatch &incoming : popped) {
-                const Step s = incoming.step;
-                // relaxed: pressure gauge; the monitor tolerates skew
-                // against the trainers' increments.
-                staging_bytes_.fetch_sub(
-                    incoming.grads.size() * sizeof(float),
-                    std::memory_order_relaxed);
-                step_batches[s].push_back(std::move(incoming));
-                if (step_batches[s].size() < n_gpus_)
-                    continue;
-                RegisterStep(s, step_batches[s]);
-                step_batches[s].clear();
-                step_batches[s].shrink_to_fit();
-                drained_steps_.store(s + 1, std::memory_order_release);
-                gate_.Nudge();
-                if (auto stall_ms = FaultPoint(
-                        injector_, FaultSite::kStagingDrainStall,
-                        static_cast<std::uint64_t>(s))) {
-                    FRUGAL_WARN("fault injection: staging drain stalls "
-                                << *stall_ms << " ms after step " << s);
-                    // The nap sits *after* the gate reopened for the
-                    // next step: trainers run against a parked drainer,
-                    // which is the interesting regime — a bounded
-                    // staging queue must fill and throttle the pushers
-                    // (§12.1) rather than grow without limit.
-                    // retry-exempt: injected stall, not a retry backoff.
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            std::max<std::uint32_t>(*stall_ms, 1)));
-                }
+            std::size_t bytes = 0;
+            for (const auto &slot : board_) {
+                // A slot of any other step is a broken hand-off.
+                FRUGAL_DCHECK(slot->step == s);
+                bytes += slot->grads.size() * sizeof(float);
+            }
+            RegisterStep(s);
+            // relaxed: pressure gauge; the monitor tolerates skew
+            // against the trainers' increments.
+            staging_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+            // relaxed: a trainer posts for step s + 1 only after its
+            // acquire load sees the release store below, which orders
+            // this reset before every such post.
+            posted_.store(0, std::memory_order_relaxed);
+            drained_steps_.store(s + 1, std::memory_order_release);
+            gate_.Nudge();
+            if (auto stall_ms =
+                    FaultPoint(injector_, FaultSite::kStagingDrainStall,
+                               static_cast<std::uint64_t>(s))) {
+                FRUGAL_WARN("fault injection: staging drain stalls "
+                            << *stall_ms << " ms after step " << s);
+                // The nap sits *after* the gate reopened for the next
+                // step: trainers run against a parked drainer, which is
+                // the interesting regime — they post step s + 1 and
+                // then wait at step s + 2's gate, so staging never
+                // holds more than one step (§12.1).
+                // retry-exempt: injected stall, not a retry backoff.
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    std::max<std::uint32_t>(*stall_ms, 1)));
             }
         }
         drain_done_.store(true, std::memory_order_release);
-        gate_.Nudge();
     }
 
     /**
@@ -515,14 +508,7 @@ class Pipeline
                 if (config_.audit_consistency || kDcheckEnabled)
                     AuditReads(keys, s);
                 Gather(slot, t, s, g);
-                // --- model (forward+backward) ---
-                UpdateBatch batch{.step = s,
-                                  .src = g,
-                                  .keys = &keys,
-                                  .grads = std::vector<float>(
-                                      keys.size() * config_.dim, 0.0f)};
-                grad_fn_(g, s, keys, slot.values, &batch.grads);
-                Emit(slot, std::move(batch));
+                Emit(slot, s, g);
             }
             step_barrier_.arrive_and_wait();
         }
@@ -559,10 +545,10 @@ class Pipeline
                 // FIRST mechanism shed — at elevated, before the
                 // prefetch window narrows and long before caches shrink.
                 // Elevated also sheds the prefetch window (fewer R sets
-                // and staged batches in flight) and the flush coalescing
-                // width; critical additionally halves the GPU caches —
-                // safe at any moment because the cache is write-through,
-                // so eviction changes throughput, never table contents.
+                // in flight) and the flush coalescing width; critical
+                // additionally halves the GPU caches — safe at any
+                // moment because the cache is write-through, so eviction
+                // changes throughput, never table contents.
                 // Returning to normal restores every knob, including
                 // warming and the cache capacity.
                 std::size_t lookahead = config_.lookahead;
@@ -677,16 +663,6 @@ class Pipeline
         gate_.Nudge();
     }
 
-    /** Every trainer has joined, so all updates are staged: close
-     *  staging so the drainer finishes, and wake a prefetcher parked on
-     *  the gate so teardown never waits out a 50 ms re-check slice. */
-    void
-    CloseStaging()
-    {
-        staging_.Close();
-        gate_.Nudge();
-    }
-
     /**
      * Recovery-aware wind-down, after the drainer and prefetcher
      * joined: a flusher may die on the very last batch, after
@@ -755,9 +731,6 @@ class Pipeline
             report.stall_seconds_total += trainer->stall_seconds;
             report.host_reads += trainer->host_reads;
             report.gate_waits += trainer->gate_waits;
-            report.overload.throttle_events += trainer->throttle_events;
-            report.overload.throttle_wait_seconds +=
-                trainer->throttle_wait_seconds;
         }
         report.stall_seconds_total /= n_gpus_;
         report.overload.cache_rows_shed = cache_rows_shed_.load();
@@ -951,34 +924,36 @@ class Pipeline
     }
 
     /**
-     * Stages one (step, trace GPU) batch. Bounded staging: PushFor
-     * consumes the batch only on success, so a full queue throttles the
-     * trainer in timed slices (backpressure) instead of growing memory
-     * without limit. The queue cannot close before every trainer
-     * joined, so the push always lands eventually.
+     * Model and emit of trace GPU g's step s: zero-fills g's board slot,
+     * runs the model callback (forward + backward) into it and posts it.
+     * The gate passed, so the drainer is done with the slot's previous
+     * step and its buffer is reused; the post that completes the step
+     * wakes the drainer.
      */
     void
-    Emit(TrainerSlot &slot, UpdateBatch batch)
+    Emit(TrainerSlot &slot, Step s, GpuId g)
     {
-        const std::size_t records = batch.keys->size();
-        const std::size_t bytes = batch.grads.size() * sizeof(float);
-        if (!staging_.PushFor(batch, std::chrono::microseconds(0))) {
-            ++slot.throttle_events;
-            const auto throttle_start = std::chrono::steady_clock::now();
-            while (!staging_.PushFor(batch, std::chrono::milliseconds(1)))
-                FRUGAL_CHECK(!staging_.closed());
-            slot.throttle_wait_seconds +=
-                Seconds(throttle_start, std::chrono::steady_clock::now());
-        }
+        const std::vector<Key> &keys = trace_.KeysFor(s, g);
+        BoardSlot &out = *board_[g];
+        out.step = s;
+        out.keys = &keys;
+        // alloc-ok: the slot's capacity persists across steps, so this
+        // grows only on a step with more keys than any before it.
+        out.grads.assign(keys.size() * config_.dim, 0.0f);
+        grad_fn_(g, s, keys, slot.values, &out.grads);
         // relaxed: pressure gauge; the monitor tolerates skew against
         // the drainer's decrements.
-        staging_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+        staging_bytes_.fetch_add(out.grads.size() * sizeof(float),
+                                 std::memory_order_relaxed);
         // Counted before the trainer arrives at the step barrier: the
         // checkpoint barrier's quiescence check compares applied against
         // emitted and must see this step's emissions.
         // relaxed: barrier arrival orders this against the completion
         // callback's reads; the watchdog tolerates skew.
-        updates_emitted_.fetch_add(records, std::memory_order_relaxed);
+        updates_emitted_.fetch_add(keys.size(), std::memory_order_relaxed);
+        // release: publishes the slot to the drainer's acquire load.
+        if (posted_.fetch_add(1, std::memory_order_release) + 1 == n_gpus_)
+            board_signal_.Nudge();
     }
 
     /**
@@ -1045,23 +1020,24 @@ class Pipeline
     /**
      * Registers a step that is complete everywhere: its R-set removals
      * and W-set insertions are now safe. Each gradient row is copied
-     * from its staged batch straight into the g-entry's own row buffer,
+     * from its board slot straight into the g-entry's own row buffer,
      * so registration allocates nothing per record.
      */
     void
-    RegisterStep(Step s, const std::vector<UpdateBatch> &batches)
+    RegisterStep(Step s)
     {
         const std::size_t dim = config_.dim;
         // Register in (key, src) order so a key's W records always
         // *arrive* in canonical order — a flush may otherwise split one
         // step's records for a key across two flushes and apply them in
-        // whatever order the GPUs happened to stage them.
+        // whatever order the GPUs happened to post them.
         drain_order_.clear();
-        for (std::uint32_t b = 0; b < n_gpus_; ++b) {
-            const std::vector<Key> &keys = *batches[b].keys;
+        for (std::uint32_t g = 0; g < n_gpus_; ++g) {
+            const std::vector<Key> &keys = *board_[g]->keys;
             for (std::uint32_t r = 0; r < keys.size(); ++r)
                 // alloc-ok: scratch capacity persists across steps.
-                drain_order_.push_back(RowRef{keys[r], batches[b].src, b, r});
+                drain_order_.push_back(
+                    RowRef{keys[r], static_cast<GpuId>(g), r});
         }
         std::sort(drain_order_.begin(), drain_order_.end(),
                   [](const RowRef &a, const RowRef &b) {
@@ -1087,7 +1063,7 @@ class Pipeline
         for (const RowRef &ref : drain_order_) {
             if (ref.key != drain_keys_[run])
                 ++run;  // drain_order_ and drain_keys_ sort identically
-            const float *grad = batches[ref.batch].grads.data() +
+            const float *grad = board_[ref.src]->grads.data() +
                                 static_cast<std::size_t>(ref.row) * dim;
             RegisterUpdate(queue_, *drain_entries_[run],
                            WriteRecord{.step = s,
@@ -1354,9 +1330,9 @@ class Pipeline
     /**
      * Consistent checkpoint barrier after step s. All trainers are
      * parked in the barrier, so no new updates can be produced: wait
-     * for the pipeline to drain (staging empties, the drainer registers
-     * step s's writes, flushers apply them all), then the host table +
-     * optimizer state IS the model as of the end of step s.
+     * for the pipeline to drain (the drainer registers step s's writes,
+     * which empties the board; flushers apply them all), then the host
+     * table + optimizer state IS the model as of the end of step s.
      */
     void
     Checkpoint(Step s)
@@ -1364,7 +1340,7 @@ class Pipeline
         const auto pause_start = std::chrono::steady_clock::now();
         const auto quiescent = [&] {
             return drained_steps_.load(std::memory_order_acquire) >= s + 1 &&
-                   staging_.size() == 0 && queue_.SizeApprox() == 0 &&
+                   queue_.SizeApprox() == 0 &&
                    // relaxed: trainers are parked in this barrier, so
                    // emitted is frozen; only applied needs to
                    // synchronize.
@@ -1482,7 +1458,8 @@ class Pipeline
         // relaxed: diagnostic snapshot (see above).
         snap.updates_applied =
             updates_applied_.load(std::memory_order_relaxed);
-        snap.staging_size = staging_.size();
+        // relaxed: diagnostic snapshot (see above).
+        snap.staging_size = posted_.load(std::memory_order_relaxed);
         snap.pq_size = queue_.SizeApprox();
         for (const auto &slot : flusher_slots_) {
             if (slot->dead.load(std::memory_order_acquire)) {
@@ -1556,9 +1533,9 @@ class Pipeline
     {
         std::ostringstream out;
         out << queue_.DebugDump();
-        out << "staging " << staging_.size() << "/"
-            << config_.staging_capacity
-            << " batch(es), drained through step "
+        // relaxed: diagnostic dump; a stale count is harmless.
+        out << "staging " << posted_.load(std::memory_order_relaxed) << "/"
+            << n_gpus_ << " batch(es) posted, drained through step "
             << drained_steps_.load(std::memory_order_acquire)
             << ", prefetch frontier "
             << prefetch_frontier_.load(std::memory_order_acquire) << "\n";
@@ -1609,7 +1586,6 @@ class Pipeline
                         ? config_.pq_shards
                         : std::max<std::size_t>(1, config_.flush_threads)}};
     GEntryRegistry registry_{64, config_.key_space};
-    BlockingQueue<UpdateBatch> staging_{config_.staging_capacity};
     std::vector<std::unique_ptr<GpuCache>> caches_;
     // The next-use oracle (DESIGN.md §13): the trace is fully
     // materialized, so the future is known — one backward pass builds
@@ -1651,8 +1627,9 @@ class Pipeline
     std::atomic<std::uint64_t> cache_rows_shed_{0};
     std::atomic<std::uint64_t> late_warm_count_{0};
     std::atomic<std::uint64_t> warms_shed_count_{0};
-    // Staging payload bytes currently queued (trainers add on push, the
-    // drainer subtracts on pop); feeds the kQueue pressure gauge.
+    // Payload bytes of posted, not yet registered board slots (trainers
+    // add on post, the drainer subtracts after registering); feeds the
+    // kQueue pressure gauge.
     std::atomic<std::size_t> staging_bytes_{0};
 
     // The step boundary's recovery counters accumulate here (written
@@ -1678,6 +1655,11 @@ class Pipeline
     const bool auditor_armed_ = !config_.disable_gate_unsafe;
 #endif
 
+    // The staging board: one slot per trace GPU, and the number of them
+    // posted for the step being drained.
+    std::vector<CacheAligned<BoardSlot>> board_;
+    std::atomic<std::uint32_t> posted_{0};
+    GateSignal board_signal_;
     std::vector<CacheAligned<TrainerSlot>> trainers_;
     std::vector<std::unique_ptr<FlusherSlot>> flusher_slots_;
     std::barrier<StepCompletion> step_barrier_;
@@ -1710,6 +1692,14 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 FaultSite::kTrainerDeath) ||
             config_.n_gpus >= 2,
         "trainer-death fault plans require at least 2 GPUs");
+    // Each of these would hang the run rather than fail it: no thread
+    // would ever apply the deferred (priority ∞) entries, no claim
+    // would take an entry, or the prefetch window would never open.
+    FRUGAL_CHECK_MSG(config_.flush_threads > 0,
+                     "flush_threads must be at least 1");
+    FRUGAL_CHECK_MSG(config_.flush_batch > 0,
+                     "flush_batch must be at least 1");
+    FRUGAL_CHECK_MSG(config_.lookahead > 0, "lookahead must be at least 1");
 
     Pipeline pipeline(config_, *table_, *optimizer_, ownership_,
                       resume_cursor_, trace, grad_fn, step_hook);
@@ -1727,10 +1717,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
 
     for (auto &t : trainers)
         t.join();
-    // All updates are staged; let the pipeline wind down (paper: "the
+    // All updates are posted; let the pipeline wind down (paper: "the
     // system waits for flushing threads to write all deferred parameter
     // updates to host memory").
-    pipeline.CloseStaging();
     drainer.join();
     prefetcher.join();
     pipeline.WindDown();

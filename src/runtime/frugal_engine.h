@@ -9,13 +9,14 @@
  * (frugal_engine.cc):
  *  - n trainer threads: gate on `PQ.top() > s`, gather (local cache for
  *    owned keys, host memory for the rest), run the model callback, and
- *    emit one ⟨key, step, Δ⟩ batch per (step, GPU) into the update
- *    staging queue (the batch doubles as the GPU's end-of-step marker);
+ *    post one ⟨key, step, Δ⟩ batch per (step, GPU) to that GPU's slot
+ *    on the staging board (the post doubles as the GPU's end-of-step
+ *    marker);
  *  - 1 prefetch thread: walks the trace `L` steps ahead of training and
  *    registers R-set entries (the sample queue);
- *  - 1 drain thread: moves staged updates into g-entries/W sets and
+ *  - 1 drain thread: moves posted updates into g-entries/W sets and
  *    adjusts PQ priorities. A step's records are held back until all of
- *    its end markers arrive: removing step s from an R set while another
+ *    its slots are posted: removing step s from an R set while another
  *    GPU is still executing step s would let a flush expose a post-step
  *    value mid-step (a race the paper's proof implicitly excludes);
  *  - `flush_threads` flush threads: claim min-priority g-entries, apply

@@ -49,6 +49,7 @@ struct ProgressSnapshot
     Step prefetch_frontier = 0;
     std::uint64_t updates_emitted = 0;
     std::uint64_t updates_applied = 0;
+    /** Batches posted to the staging board, not yet registered. */
     std::size_t staging_size = 0;
     std::size_t pq_size = 0;
     /** Flush threads whose slots are flagged dead. */

@@ -4,8 +4,7 @@
  * against the full FrugalEngine pipeline. Each campaign is a *seeded*
  * FaultPlan — flusher deaths, transient host writes, drainer stalls,
  * torn checkpoint writes — layered over thousands of training steps,
- * optionally under a backpressure-bounded staging queue and a mid-run
- * memory-budget squeeze. The assertions are the system's whole
+ * optionally with a trainer death or a mid-run memory-budget squeeze. The assertions are the system's whole
  * robustness contract at once:
  *
  *   liveness     — the run terminates (no wedged gate, no leaked claim);
@@ -149,14 +148,12 @@ TEST(ChaosSoakTest, PipelineFaultCampaignRecoversBitEqual)
     std::remove((config.checkpoint_path + ".tmp").c_str());
 }
 
-// Campaign 2: overload under degradation. A one-batch staging bound
-// (below the per-step batch fan-in) while a trainer death forces the
-// survivor into degraded mode — it emits its dead peer's batch
-// back-to-back with its own each step, so the second push meets a full
-// queue before the drainer can wake and throttles. Flaky writes and
-// drainer stalls ride along; backpressure must slow the run down, not
-// lose updates or blow the bound.
-TEST(ChaosSoakTest, OverloadCampaignThrottlesWithoutLoss)
+// Campaign 2: degraded mode. A trainer death forces the survivor into
+// degraded mode — it posts its dead peer's board slot back-to-back with
+// its own each step — while flaky writes, a slow flush path and drainer
+// stalls ride along. Degradation must slow the run down, not lose
+// updates.
+TEST(ChaosSoakTest, TrainerDeathCampaignDegradesWithoutLoss)
 {
     FaultPlan plan;
     plan.seed = 2002;
@@ -175,7 +172,6 @@ TEST(ChaosSoakTest, OverloadCampaignThrottlesWithoutLoss)
 
     EngineConfig config = SoakConfig();
     config.fault_injector = &injector;
-    config.staging_capacity = 1;  // below the per-step batch fan-in
     config.flush_delay_us = 2;
 
     Rng rng(42);
@@ -188,8 +184,6 @@ TEST(ChaosSoakTest, OverloadCampaignThrottlesWithoutLoss)
 
     ExpectCampaignSound(report);
     EXPECT_EQ(report.recovery.trainer_deaths, 1u);
-    EXPECT_GT(report.overload.throttle_events, 0u);
-    EXPECT_GT(report.overload.throttle_wait_seconds, 0.0);
     ExpectOracleEqual(engine, trace, task);
 }
 

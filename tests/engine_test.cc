@@ -414,5 +414,39 @@ TEST(EngineTest, OracularThrashingCacheWithGatherLatencyIsConsistent)
     EXPECT_TRUE(TablesBitEqual(engine->table(), oracle_table));
 }
 
+/** Runs FrugalEngine over a short 2-GPU Zipf trace. */
+void
+RunShortZipf(const EngineConfig &config)
+{
+    Rng rng(5);
+    ZipfDistribution dist(config.key_space, 0.9);
+    const Trace trace = Trace::Synthetic(dist, rng, 20, config.n_gpus, 8);
+    FrugalEngine engine(config);
+    engine.Run(trace, MakeLinearGradTask());
+}
+
+// Each of these values would make Run wait forever, so Run rejects it
+// before starting any thread.
+TEST(EngineConfigDeathTest, ZeroFlushThreadsIsRejected)
+{
+    EngineConfig config;
+    config.flush_threads = 0;
+    EXPECT_DEATH(RunShortZipf(config), "flush_threads must be at least 1");
+}
+
+TEST(EngineConfigDeathTest, ZeroFlushBatchIsRejected)
+{
+    EngineConfig config;
+    config.flush_batch = 0;
+    EXPECT_DEATH(RunShortZipf(config), "flush_batch must be at least 1");
+}
+
+TEST(EngineConfigDeathTest, ZeroLookaheadIsRejected)
+{
+    EngineConfig config;
+    config.lookahead = 0;
+    EXPECT_DEATH(RunShortZipf(config), "lookahead must be at least 1");
+}
+
 }  // namespace
 }  // namespace frugal

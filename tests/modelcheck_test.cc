@@ -16,14 +16,17 @@
  *  - monotone priorities: a DequeueClaim batch is priority-sorted and
  *    DequeueClaimBelow never exceeds its ceiling;
  *  - slot-set accounting: per segment, popped ≤ published at every
- *    instant (the announce-before-publish protocol).
+ *    instant (the announce-before-publish protocol);
+ *  - the staging-board hand-off: the drainer reads only slots of the
+ *    step it drains, and no post is lost.
  *
  * The *_ReorderBugCaught test is the negative control: it runs the
  * exact announce/publish protocol of AtomicSlotSet::Insert with the
  * PR 1 bug shape deliberately re-introduced (pointer published before
  * the counter announcement) and requires the explorer to find the
  * violating schedule. If the explorer ever loses the power to catch
- * that bug class, this test fails.
+ * that bug class, this test fails. The staging board's *Caught tests
+ * are negative controls of the same kind.
  *
  * These tests are meaningful only when the model_atomic shims are live
  * (FRUGAL_MODELCHECK builds — the `modelcheck` preset); elsewhere they
@@ -38,7 +41,6 @@
 
 #include "check/model_sync.h"
 #include "check/scheduler.h"
-#include "common/spinlock.h"
 #include "common/types.h"
 #include "pq/atomic_slot_set.h"
 #include "pq/g_entry.h"
@@ -504,149 +506,171 @@ TEST(ModelCheckTwoLevelPQ, GateVsEnqueueAndFlush)
 }
 
 // --------------------------------------------------------------------
-// Bounded-queue gate protocol (BlockingQueue::PushFor / Pop).
+// Staging-board hand-off (FrugalEngine's trainers -> drainer).
 //
-// BlockingQueue itself runs on std::mutex + condition_variable, which
-// the explorer does not shim; what it CAN check is the gate protocol
-// those primitives implement: the push-full and pop-empty gates must be
-// (re-)evaluated under the same lock that guards the buffer.
-// MiniBoundedQueue reproduces exactly that protocol over Spinlock +
-// model_atomic. The buggy variant samples the push gate *before* taking
-// the lock (the size()-then-Push TOCTOU a caller could write against
-// the real queue); the explorer must find the schedule where two
-// producers both pass the stale gate and overshoot the capacity bound.
+// MiniBoard reproduces the engine's protocol over model_atomic. A
+// poster waits until `drained` reaches its step (the gate's drained
+// term), fills its slot and increments `posted`. The drainer waits until
+// every slot is posted, reads the slots, resets `posted` and only then
+// publishes `drained = s + 1` — the one store that lets a poster
+// overwrite its slot. Two posters post steps 0 and 1, one drainer
+// drains both, and every wait is a bounded number of polls. The buggy
+// orders publish `drained` before reading the slots (a poster
+// overwrites a slot mid-read) or before resetting the count (a poster's
+// increment is wiped: a lost post).
 // --------------------------------------------------------------------
 
-struct MiniBoundedQueue
+enum class DrainOrder {
+    kReadResetPublish,    // the engine's order
+    kPublishBeforeRead,   // reset, publish, read
+    kPublishBeforeReset,  // read, publish, reset
+};
+
+struct MiniBoard
 {
-    static constexpr std::size_t kCapacity = 2;
-    // Ring has slack beyond the capacity bound so the buggy variant's
-    // overshoot is observed by the occupancy assert, not by memory
-    // corruption.
-    static constexpr std::size_t kSlots = kCapacity + 2;
+    static constexpr int kPosters = 2;
+    static constexpr int kSteps = 2;
+    /** Polls of a wait before its thread gives up. */
+    static constexpr int kAttempts = 3;
 
-    Spinlock lock;
-    std::array<int, kSlots> ring{};
-    std::size_t head = 0;  // guarded by lock
-    std::size_t tail = 0;  // guarded by lock
-    model_atomic<std::size_t> occupancy{0};
-    model_atomic<std::size_t> pushed_count{0};
-    model_atomic<int> pushed_sum{0};
-    model_atomic<std::size_t> popped_count{0};
-    model_atomic<int> popped_sum{0};
+    // A slot's step and payload are separate atomics, so a read that
+    // races a post can observe half of each.
+    std::array<model_atomic<int>, kPosters> slot_step{};
+    std::array<model_atomic<int>, kPosters> slot_payload{};
+    model_atomic<int> posted{0};
+    model_atomic<int> drained{0};
+    /** Steps each poster posted; written by that poster only, read on
+     *  the driving thread after Go(). */
+    std::array<int, kPosters> steps_posted{};
 
-    /** One bounded-push attempt (the body of PushFor after its wait
-     *  came back "not full"): returns false when the gate holds it
-     *  back — the caller's throttle path. */
-    bool
-    TryPush(int value, bool gate_under_lock)
+    static int
+    Payload(int step, int poster)
     {
-        if (!gate_under_lock &&
-            occupancy.load() >= kCapacity)  // TOCTOU: stale gate
-            return false;
-        SpinGuard guard(lock);
-        if (gate_under_lock && occupancy.load() >= kCapacity)
-            return false;
-        ring[tail % kSlots] = value;
-        ++tail;
-        const std::size_t occ = occupancy.fetch_add(1) + 1;
-        check::ModelAssert(occ <= kCapacity,
-                           "push-full gate breached: occupancy "
-                           "exceeded capacity");
-        pushed_count.fetch_add(1);
-        pushed_sum.fetch_add(value);
-        return true;
+        return 10 * step + poster + 1;
     }
 
-    /** One pop attempt; false on the empty gate. */
-    bool
-    TryPop()
+    void
+    Poster(int poster)
     {
-        SpinGuard guard(lock);
-        if (occupancy.load() == 0)
-            return false;
-        const std::size_t before = occupancy.fetch_sub(1);
-        check::ModelAssert(before >= 1,
-                           "pop-empty gate breached: occupancy "
-                           "underflow");
-        const int value = ring[head % kSlots];
-        ++head;
-        popped_count.fetch_add(1);
-        popped_sum.fetch_add(value);
-        return true;
+        for (int s = 0; s < kSteps; ++s) {
+            bool open = false;
+            for (int attempt = 0; attempt < kAttempts && !open; ++attempt)
+                open = drained.load() >= s;
+            if (!open)
+                return;
+            slot_step[poster].store(s);
+            slot_payload[poster].store(Payload(s, poster));
+            posted.fetch_add(1);
+            steps_posted[poster] = s + 1;
+        }
+    }
+
+    /** The drainer's read of step s's slots (RegisterStep). */
+    void
+    ReadSlots(int s)
+    {
+        for (int p = 0; p < kPosters; ++p) {
+            const int step = slot_step[p].load();
+            const int payload = slot_payload[p].load();
+            check::ModelAssert(step == s && payload == Payload(s, p),
+                               "board slot overwritten mid-read");
+        }
+    }
+
+    void
+    Drainer(DrainOrder order)
+    {
+        for (int s = 0; s < kSteps; ++s) {
+            bool full = false;
+            for (int attempt = 0; attempt < kAttempts && !full; ++attempt)
+                full = posted.load() == kPosters;
+            if (!full)
+                return;
+            switch (order) {
+            case DrainOrder::kReadResetPublish:
+                ReadSlots(s);
+                posted.store(0);
+                drained.store(s + 1);
+                break;
+            case DrainOrder::kPublishBeforeRead:
+                posted.store(0);
+                drained.store(s + 1);
+                ReadSlots(s);
+                break;
+            case DrainOrder::kPublishBeforeReset:
+                ReadSlots(s);
+                drained.store(s + 1);
+                posted.store(0);
+                break;
+            }
+        }
+    }
+
+    /** At quiescence `posted` must count exactly the posts for the step
+     *  the drainer is on (none once every step is drained). */
+    void
+    CheckNoLostPost(check::Explorer &ex)
+    {
+        const int step = drained.load();
+        int expected = 0;
+        for (int p = 0; p < kPosters; ++p)
+            expected += step < kSteps && steps_posted[p] > step ? 1 : 0;
+        ex.Check(posted.load() == expected,
+                 "board lost a post: posted count below the posts made");
     }
 };
 
 check::Result
-ExploreBoundedQueue(bool gate_under_lock, const check::Options &options)
+ExploreBoard(DrainOrder order, const check::Options &options)
 {
-    return check::Explore(options, [gate_under_lock](check::Explorer &ex) {
-        auto queue = std::make_shared<MiniBoundedQueue>();
-        // Pre-seeded to capacity − 1 (off-model, driving thread): both
-        // producers then race for the single free slot, which is the
-        // exact window where the stale-gate variant overshoots.
-        queue->TryPush(1, /*gate_under_lock=*/true);
-
-        ex.Thread([queue, gate_under_lock] {
-            (void)queue->TryPush(10, gate_under_lock);
-        });
-        ex.Thread([queue, gate_under_lock] {
-            (void)queue->TryPush(20, gate_under_lock);
-        });
-        ex.Thread([queue] {
-            (void)queue->TryPop();
-            (void)queue->TryPop();
-        });
-        ex.Thread([queue] {
-            for (int i = 0; i < 2; ++i) {
-                check::ModelAssert(
-                    queue->occupancy.load() <=
-                        MiniBoundedQueue::kCapacity,
-                    "auditor observed occupancy above capacity");
-            }
-        });
+    return check::Explore(options, [order](check::Explorer &ex) {
+        auto board = std::make_shared<MiniBoard>();
+        ex.Thread([board] { board->Poster(0); });
+        ex.Thread([board] { board->Poster(1); });
+        ex.Thread([board, order] { board->Drainer(order); });
         ex.Go();
-
-        // Quiescent conservation only for the expected-clean variant: a
-        // violation-aborted run unwinds producers mid-protocol and the
-        // counters legitimately disagree.
-        if (gate_under_lock) {
-            while (queue->TryPop()) {
-            }
-            ex.Check(queue->occupancy.load() == 0,
-                     "quiescent: queue drained");
-            ex.Check(queue->popped_count.load() ==
-                         queue->pushed_count.load(),
-                     "every accepted item popped exactly once");
-            ex.Check(queue->popped_sum.load() ==
-                         queue->pushed_sum.load(),
-                     "popped values match pushed values");
-        }
+        board->CheckNoLostPost(ex);
     });
 }
 
-TEST(ModelCheckBoundedQueue, GateUnderLockHoldsCapacityBound)
+TEST(ModelCheckStagingBoard, ReadResetPublishHandsOffCleanly)
 {
     FRUGAL_REQUIRE_MODELCHECK();
     const check::Result result =
-        ExploreBoundedQueue(/*gate_under_lock=*/true, DefaultOptions());
-    ReportExploration("BoundedQueueGateUnderLock", result);
+        ExploreBoard(DrainOrder::kReadResetPublish, DefaultOptions());
+    ReportExploration("StagingBoardReadResetPublish", result);
     EXPECT_TRUE(result.clean()) << result.first_violation;
     EXPECT_GE(result.distinct_schedules, kDistinctTarget);
 }
 
-TEST(ModelCheckBoundedQueue, StaleGateOvershootCaught)
+TEST(ModelCheckStagingBoard, PublishBeforeReadCaught)
 {
     FRUGAL_REQUIRE_MODELCHECK();
     check::Options options = DefaultOptions();
     options.stop_on_violation = true;
     const check::Result result =
-        ExploreBoundedQueue(/*gate_under_lock=*/false, options);
-    ReportExploration("BoundedQueueStaleGateCaught", result);
+        ExploreBoard(DrainOrder::kPublishBeforeRead, options);
+    ReportExploration("StagingBoardPublishBeforeReadCaught", result);
     ASSERT_GT(result.violations, 0u)
-        << "the explorer failed to catch the stale push-full gate: "
+        << "the explorer failed to catch a slot overwritten mid-read: "
         << result.Summary();
-    EXPECT_NE(result.first_violation.find("gate breached"),
+    EXPECT_NE(result.first_violation.find("overwritten mid-read"),
+              std::string::npos)
+        << result.first_violation;
+}
+
+TEST(ModelCheckStagingBoard, PublishBeforeResetCaught)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    check::Options options = DefaultOptions();
+    options.stop_on_violation = true;
+    const check::Result result =
+        ExploreBoard(DrainOrder::kPublishBeforeReset, options);
+    ReportExploration("StagingBoardPublishBeforeResetCaught", result);
+    ASSERT_GT(result.violations, 0u)
+        << "the explorer failed to catch a lost post: "
+        << result.Summary();
+    EXPECT_NE(result.first_violation.find("lost a post"),
               std::string::npos)
         << result.first_violation;
 }
