@@ -5,11 +5,11 @@
  *
  *  1. healthy  — no faults, no memory budget: the throughput baseline;
  *  2. chaos    — a seeded campaign: a mid-run trainer death leaves the
- *     survivor posting its dead peer's batches as well as its own,
+ *     survivor emitting its dead peer's batches as well as its own,
  *     flush threads die and get respawned, host writes fail
- *     transiently, the drainer stalls, and partway in the memory budget
- *     is squeezed to 50% of live usage (degradation to kCritical)
- *     before an operator-relief restore.
+ *     transiently, the pipeline pauses at seeded step boundaries, and
+ *     partway in the memory budget is squeezed to 50% of live usage
+ *     (degradation to kCritical) before an operator-relief restore.
  *
  * The contract this demonstrates: under all of that the engine degrades
  * instead of failing — steps/s drops but stays nonzero, the pressure
@@ -21,9 +21,11 @@
  * PATH` moves the JSON.
  */
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -66,12 +68,13 @@ BaseConfig(const Sizes &sizes)
     return config;
 }
 
+constexpr std::uint64_t kChaosSeed = 20260808;
+
 FaultPlan
 ChaosPlan(const Sizes &sizes)
 {
     FaultPlan plan;
-    plan.seed = 20260808;
-    Rng chaos_rng(plan.seed);
+    plan.seed = kChaosSeed;
 
     FaultRule first_death;
     first_death.site = FaultSite::kFlushThreadDeath;
@@ -88,22 +91,26 @@ ChaosPlan(const Sizes &sizes)
     flaky_writes.probability = 0.01;
     plan.rules.push_back(flaky_writes);
 
-    // Degraded mode: the survivor of this death posts its dead peer's
+    // Degraded mode: the survivor of this death emits its dead peer's
     // batch as well as its own every remaining step.
     FaultRule trainer_death;
     trainer_death.site = FaultSite::kTrainerDeath;
     trainer_death.context = sizes.steps / 8;
     trainer_death.payload = sizes.n_gpus - 1;
     plan.rules.push_back(trainer_death);
-
-    for (int i = 0; i < 4; ++i) {
-        FaultRule stall;
-        stall.site = FaultSite::kStagingDrainStall;
-        stall.context = chaos_rng() % sizes.steps;
-        stall.payload = 5;
-        plan.rules.push_back(stall);
-    }
     return plan;
+}
+
+/** The seed-derived step boundaries at which the chaos run pauses for
+ *  5 ms with every trainer parked. */
+std::vector<Step>
+PauseSteps(const Sizes &sizes)
+{
+    Rng chaos_rng(kChaosSeed);
+    std::vector<Step> steps;
+    for (int i = 0; i < 4; ++i)
+        steps.push_back(chaos_rng() % sizes.steps);
+    return steps;
 }
 
 double
@@ -170,10 +177,13 @@ main(int argc, char **argv)
     chaos_config.fault_injector = &injector;
     chaos_config.memory_budget = &budget;
     chaos_config.memory_poll_ms = 1;
+    const std::vector<Step> pauses = PauseSteps(sizes);
     const Step squeeze_step = static_cast<Step>(sizes.steps / 3);
     const Step relief_step = static_cast<Step>(2 * sizes.steps / 3);
-    const StepHook squeeze = [&budget, squeeze_step,
-                              relief_step](Step step) {
+    const StepHook chaos_hook = [&budget, &pauses, squeeze_step,
+                                 relief_step](Step step) {
+        if (std::find(pauses.begin(), pauses.end(), step) != pauses.end())
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
         if (step == squeeze_step) {
             const std::size_t used = budget.TotalBytes();
             budget.SetBudget(std::max<std::size_t>(used / 2, 1));
@@ -183,7 +193,7 @@ main(int argc, char **argv)
     };
 
     auto chaos_engine = MakeEngine("frugal", chaos_config);
-    const RunReport chaos = chaos_engine->Run(trace, task, squeeze);
+    const RunReport chaos = chaos_engine->Run(trace, task, chaos_hook);
     const bool chaos_equal =
         TablesBitEqual(chaos_engine->table(), oracle_table);
 

@@ -168,7 +168,7 @@ fi
 
 # --- 4c. end-to-end engine bench smoke + baseline diff -------------------
 # Same contract as 4b for bench_e2e_engine: a smoke run drives the *real*
-# engine (trainers, prefetcher, drainer, flush threads, the gate) across
+# engine (trainers, prefetcher, flush threads, the gate) across
 # the grid and exits non-zero if any cell trains a table that is not
 # bit-equal to the single-threaded oracle — that part is a hard gate.
 # The metric diff against the committed BENCH_e2e.json stays warn-only.
@@ -210,10 +210,10 @@ fi
 
 # --- 4d. chaos/overload smoke -------------------------------------------
 # A shrunken seeded chaos campaign against the real engine: flusher
-# deaths, flaky writes, drain stalls, a trainer death (degraded mode),
-# and a mid-run memory-budget squeeze. The binary is its own hard gate —
-# it exits non-zero if the degraded run diverges from the fault-free
-# oracle, stalls, or never reaches kCritical (DESIGN.md §12.4).
+# deaths, flaky writes, step-boundary pauses, a trainer death (degraded
+# mode), and a mid-run memory-budget squeeze. The binary is its own hard
+# gate — it exits non-zero if the degraded run diverges from the
+# fault-free oracle, stalls, or never reaches kCritical (DESIGN.md §12.4).
 note "bench_chaos smoke (degradation hard gate)"
 if ! ./build/bench/bench_chaos --smoke --out build/BENCH_chaos.json; then
     failures=$((failures + 1))

@@ -81,11 +81,11 @@ HOT_FUNCTIONS = (
     "Pipeline::RefreshCache",
     # Trainer gather stage: cache probes, batched miss gather, refills;
     # and the emit stage: model callback into the GPU's reused board
-    # slot, then the post.
+    # slot.
     "Pipeline::Gather",
     "Pipeline::Emit",
-    # Drainer per-step registration and the g-entry W-set insert it runs
-    # once per staged update record.
+    # Per-step registration in the step-barrier completion and the
+    # g-entry W-set insert it runs once per staged update record.
     "Pipeline::RegisterStep",
     "GEntry::AddWriteLocked",
     # Two-level PQ dequeue path

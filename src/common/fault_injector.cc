@@ -28,8 +28,6 @@ FaultSiteName(FaultSite site)
         return "flush-thread-death";
     case FaultSite::kHostWriteTransient:
         return "host-write-transient";
-    case FaultSite::kStagingDrainStall:
-        return "staging-drain-stall";
     case FaultSite::kTrainerDeath:
         return "trainer-death";
     case FaultSite::kCheckpointTruncate:

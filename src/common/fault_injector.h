@@ -24,8 +24,6 @@
  *  - kHostWriteTransient  — one host-table write attempt fails
  *                           transiently (context: key); the flush thread
  *                           retries with bounded exponential backoff;
- *  - kStagingDrainStall   — the staging-drain thread stalls for
- *                           `payload` milliseconds (context: step);
  *  - kTrainerDeath        — a trainer (simulated GPU) dies at a step
  *                           boundary (context: completed step; payload:
  *                           victim GPU id), triggering degraded mode;
@@ -66,7 +64,6 @@ namespace frugal {
 enum class FaultSite : std::uint8_t {
     kFlushThreadDeath = 0,
     kHostWriteTransient,
-    kStagingDrainStall,
     kTrainerDeath,
     kCheckpointTruncate,
     kCheckpointCorrupt,

@@ -46,8 +46,8 @@ enum class MemoryComponent : std::uint8_t {
     kFlatMap,
     /** GpuCache row storage + LRU bookkeeping. */
     kCache,
-    /** Staging board payload (posted gradient batches not yet
-     *  registered; at most one step's). */
+    /** Staging board payload (the gradient buffers the board retains
+     *  between steps; about one step's). */
     kQueue,
     kComponentCount,
 };

@@ -6,7 +6,7 @@
  *  - the **R set**: future training steps that will read the parameter
  *    (populated by the controller's prefetch thread from the sample queue);
  *  - the **W set**: pending updates ⟨step, src GPU, Δ⟩ not yet flushed to
- *    host memory (populated by the staging-drain thread);
+ *    host memory (populated by each step's registration);
  *  - the **priority** from Equation (1):
  *        priority = min(R set)   if W set ≠ ∅ and R set ≠ ∅
  *        priority = ∞            if W set = ∅ or R set = ∅.

@@ -5,7 +5,7 @@
  *
  *  - RegisterRead: the prefetch thread saw `key` in the sample queue for
  *    step s ⇒ insert s into the R set (and re-prioritise if enqueued).
- *  - RegisterUpdate: the staging-drain thread received ⟨key, s, Δ⟩ ⇒
+ *  - RegisterUpdate: the step boundary registers ⟨key, s, Δ⟩ ⇒
  *    remove s from the R set, append to the W set (copying Δ into the
  *    entry's row buffer), enqueue or re-prioritise.
  *  - FlushClaimed / TakeClaimedWrites: a flush thread owns a claimed
@@ -99,7 +99,7 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply,
         }
         if (applied > 0)
             post(entry.key());
-        // The drain thread may have added writes and re-enqueued the
+        // A step registration may have added writes and re-enqueued the
         // entry between our claim and this point (or the prefetch thread
         // gave a claimed ∞-priority entry a read). Those writes were just
         // applied as well, so the standing enqueue must be retired —

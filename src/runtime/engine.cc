@@ -12,6 +12,14 @@ Engine::Engine(const EngineConfig &config)
 {
     FRUGAL_CHECK_MSG(config.n_gpus > 0, "need at least one GPU");
     FRUGAL_CHECK_MSG(config.key_space > 0, "empty key space");
+    // Both comparisons are false for NaN.
+    FRUGAL_CHECK_MSG(config.cache_ratio > 0.0 && config.cache_ratio <= 1.0,
+                     "cache_ratio must lie in (0, 1], got "
+                         << config.cache_ratio);
+    FRUGAL_CHECK_MSG(config.checkpoint_every_steps == 0 ||
+                         !config.checkpoint_path.empty(),
+                     "checkpoint_every_steps is set but checkpoint_path is "
+                     "empty");
     EmbeddingTableConfig table_config;
     table_config.key_space = config.key_space;
     table_config.dim = config.dim;

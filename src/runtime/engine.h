@@ -4,10 +4,10 @@
  *
  * An Engine executes a multi-GPU synchronous embedding-training run over
  * a key Trace: every simulated GPU is a real thread, every parameter is a
- * real float row, and every consistency mechanism (caches, staging board,
- * PQ, gate) runs for real. The *model* is injected as a gradient callback
- * so the same engines train microbenchmarks (Exp #1), DLRM (Exp #7) and
- * KG scorers (Exp #6) unchanged.
+ * real float row, and every consistency mechanism (caches, step-boundary
+ * registration, PQ, gate) runs for real. The *model* is injected as a
+ * gradient callback so the same engines train microbenchmarks (Exp #1),
+ * DLRM (Exp #7) and KG scorers (Exp #6) unchanged.
  *
  * Four engines implement the paper's competitor matrix (§4.1):
  *  - NoCacheEngine    — "PyTorch" / "DGL-KE": no GPU cache, every access
@@ -49,8 +49,9 @@ struct EngineConfig
     std::size_t dim = 8;
     std::uint64_t key_space = 1024;
 
-    /** Multi-GPU cache size as a fraction of all parameters (§4.1:
-     *  default 5%); each GPU gets an equal share of the budget. */
+    /** Multi-GPU cache size as a fraction of all parameters, in
+     *  (0, 1] (§4.1: default 5%); each GPU gets an equal share of the
+     *  budget, at least one row. */
     double cache_ratio = 0.05;
 
     /** Replacement-policy knobs for every per-GPU cache (DESIGN.md
@@ -80,12 +81,6 @@ struct EngineConfig
 
     /** Entries claimed per dequeue (batched dequeue, §3.4). */
     std::size_t flush_batch = 8;
-
-    /** Dequeue shards per PQ bucket (FrugalEngine only):
-     *  each flush thread drains its own shard first, so concurrent
-     *  dequeues scan disjoint slot sets. 0 = one shard per flush
-     *  thread; 1 = the unsharded legacy layout. */
-    std::size_t pq_shards = 0;
 
     /**
      * Optional memory-pressure monitor (FrugalEngine only); the caller
@@ -151,10 +146,11 @@ struct EngineConfig
     int watchdog_stall_ms = 2000;
 
     /**
-     * Take a consistent checkpoint every N steps (0 = never). The
-     * barrier runs at the step boundary: trainers are held, the staging
-     * board + PQ + in-flight claims drain, then the table, optimizer state and
-     * trace cursor are snapshotted to `checkpoint_path`.
+     * Take a consistent checkpoint every N steps (0 = never; any other
+     * value needs a `checkpoint_path`). The barrier runs at the step
+     * boundary, after the step is registered: trainers are held, the
+     * PQ and in-flight claims drain, then the table, optimizer state
+     * and trace cursor are snapshotted to `checkpoint_path`.
      */
     std::size_t checkpoint_every_steps = 0;
     std::string checkpoint_path;

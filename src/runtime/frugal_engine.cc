@@ -44,25 +44,23 @@ constexpr std::uint64_t kGatherSleepQuantumNs = 100'000;
 constexpr int kHostWriteAttempts = 13;
 
 /**
- * One trace GPU's slot on the staging board: the key list and the
- * gradients that GPU produced in one step; posting it is the GPU's
- * end-of-step marker. A trainer writes its slot for step s only once
- * the drainer has published drained_steps_ >= s, which it does only
- * after it is done with step s - 1's slots (DESIGN.md §12.1), so a slot
- * needs no lock and its buffer is reused from step to step.
+ * One trace GPU's slot on the staging board: the gradients that GPU
+ * produced in one step. The executing trainer fills it before arriving
+ * at the step barrier, and the barrier's completion registers it before
+ * any trainer starts the next step (DESIGN.md §12.1), so a slot needs
+ * no lock and its buffer is reused from step to step.
  */
 struct BoardSlot
 {
-    /** The step the slot was last posted for (the drainer checks it). */
+    /** The step the slot was last filled for (the completion checks
+     *  it). */
     Step step = 0;
-    /** The step's deduplicated key list. Points into the Trace, which
-     *  outlives the run; the drainer only reads it. */
-    const std::vector<Key> *keys = nullptr;
-    /** keys->size() × dim gradients; row i starts at i * dim. */
+    /** The step's KeysFor(step, g).size() × dim gradients; row i starts
+     *  at i * dim. */
     std::vector<float> grads;
 };
 
-/** Row `row` of a posted step's slot `src`, keyed for sorting the
+/** Row `row` of a filled step's slot `src`, keyed for sorting the
  *  step's records into canonical (key, src) order. */
 struct RowRef
 {
@@ -163,13 +161,11 @@ struct FlusherSlot
 };
 
 /**
- * A wakeup channel. The gate's (Pipeline::gate_): trainers, the
- * prefetcher and the checkpoint barrier park on it, and every producer
- * of gate progress (frontier advance, drained step, applied flush, step
- * boundary, pressure transition) nudges it. The drainer parks on its
- * own (Pipeline::board_signal_), which only the post that completes a
- * step nudges. Waits are timed because a recovery path can lose a
- * wakeup.
+ * The gate's wakeup channel (Pipeline::gate_): trainers, the prefetcher
+ * and the checkpoint barrier park on it, and every producer of gate
+ * progress (frontier advance, applied flush, step boundary, pressure
+ * transition) nudges it. Waits are timed because a recovery path can
+ * lose a wakeup.
  */
 struct GateSignal
 {
@@ -206,11 +202,12 @@ struct StepCompletion
 
 /**
  * One FrugalEngine::Run: the run's shared state plus one method per
- * stage of Fig. 5 — trainer (gate, gather, emit), prefetcher, drainer,
- * flush worker — and the step boundary, pressure monitor, watchdog
- * callbacks and report. FrugalEngine::Run starts the threads on these
- * methods and joins them. Cross-thread state is atomic, behind the gate
- * signal or a slot lock, or confined to one thread as its comment says.
+ * stage of Fig. 5 — trainer (gate, gather, emit), prefetcher, flush
+ * worker — and the step boundary (which registers the step), pressure
+ * monitor, watchdog callbacks and report. FrugalEngine::Run starts the
+ * threads on these methods and joins them. Cross-thread state is
+ * atomic, behind the gate signal or a slot lock, ordered by the step
+ * barrier, or confined to one thread as its comment says.
  */
 class Pipeline
 {
@@ -359,55 +356,6 @@ class Pipeline
         }
     }
 
-    /** The staging drain thread: registers each step straight from the
-     *  board once all n_gpus slots are posted, then hands the slots back
-     *  by publishing drained_steps_ = s + 1. */
-    void
-    Drainer()
-    {
-        const auto step_posted = [&] {
-            return posted_.load(std::memory_order_acquire) == n_gpus_;
-        };
-        for (Step s = 0; s < n_steps_; ++s) {
-            // Timed like every GateSignal wait; the post that completes
-            // the step nudges only after its increment.
-            while (!board_signal_.WaitFor(std::chrono::milliseconds(100),
-                                          step_posted)) {
-            }
-            std::size_t bytes = 0;
-            for (const auto &slot : board_) {
-                // A slot of any other step is a broken hand-off.
-                FRUGAL_DCHECK(slot->step == s);
-                bytes += slot->grads.size() * sizeof(float);
-            }
-            RegisterStep(s);
-            // relaxed: pressure gauge; the monitor tolerates skew
-            // against the trainers' increments.
-            staging_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-            // relaxed: a trainer posts for step s + 1 only after its
-            // acquire load sees the release store below, which orders
-            // this reset before every such post.
-            posted_.store(0, std::memory_order_relaxed);
-            drained_steps_.store(s + 1, std::memory_order_release);
-            gate_.Nudge();
-            if (auto stall_ms =
-                    FaultPoint(injector_, FaultSite::kStagingDrainStall,
-                               static_cast<std::uint64_t>(s))) {
-                FRUGAL_WARN("fault injection: staging drain stalls "
-                            << *stall_ms << " ms after step " << s);
-                // The nap sits *after* the gate reopened for the next
-                // step: trainers run against a parked drainer, which is
-                // the interesting regime — they post step s + 1 and
-                // then wait at step s + 2's gate, so staging never
-                // holds more than one step (§12.1).
-                // retry-exempt: injected stall, not a retry backoff.
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    std::max<std::uint32_t>(*stall_ms, 1)));
-            }
-        }
-        drain_done_.store(true, std::memory_order_release);
-    }
-
     /**
      * One flush thread (§3.4 parallel flushing): claims the
      * minimum-priority entries and applies them through ApplyClaims with
@@ -426,16 +374,20 @@ class Pipeline
         std::chrono::microseconds idle_sleep{500};
         std::vector<ClaimTicket> claims;
         while (true) {
+            // Read before the size: once the last step boundary has
+            // registered its records, an empty queue means no more work.
+            const bool run_registered =
+                current_step_.load(std::memory_order_acquire) >= n_steps_;
             if (queue_.SizeApprox() == 0) {
-                if (drain_done_.load(std::memory_order_acquire))
+                if (run_registered)
                     return;
-                // Idle: flat self-wake, off the gate CV. The drainer's
-                // nudge is a notify_all; four flushers parked on it turn
-                // every drained step into a thundering herd whose losers
-                // wake, rescan and re-park. The gate-blocked trainer
-                // claims its own blockers (cooperative flush), so an
-                // idle flusher only needs to wake often enough to absorb
-                // later-step and deferred backlog.
+                // Idle: flat self-wake, off the gate CV. The step
+                // boundary's nudge is a notify_all; four flushers parked
+                // on it turn every step into a thundering herd whose
+                // losers wake, rescan and re-park. The gate-blocked
+                // trainer claims its own blockers (cooperative flush), so
+                // an idle flusher only needs to wake often enough to
+                // absorb later-step and deferred backlog.
                 // retry-exempt: idle self-wake, not a retry.
                 std::this_thread::sleep_for(idle_sleep);
                 idle_sleep = std::min(idle_sleep * 2,
@@ -613,9 +565,10 @@ class Pipeline
 
     /**
      * The step boundary (barrier completion, single-threaded while every
-     * trainer is parked): step hook, invariant audit, checkpoint
-     * barrier, injected trainer death, dead-key sweep, and finally the
-     * step advance that reopens the gate.
+     * trainer is parked): registration of the step's board, step hook,
+     * invariant audit, checkpoint barrier, injected trainer death,
+     * dead-key sweep, and finally the step advance that reopens the
+     * gate.
      */
     void
     StepBoundary() noexcept
@@ -623,6 +576,7 @@ class Pipeline
         // relaxed: the completion callback is the only writer and runs
         // single-threaded between steps.
         const Step s = current_step_.load(std::memory_order_relaxed);
+        RegisterStep(s);
         if (step_hook_)
             step_hook_(s);
 #if FRUGAL_DCHECK_ENABLED
@@ -630,7 +584,6 @@ class Pipeline
             auditor_.OnStepBoundary(s, queue_);
 #endif
         if (config_.checkpoint_every_steps > 0 &&
-            !config_.checkpoint_path.empty() &&
             static_cast<std::size_t>(s + 1) %
                     config_.checkpoint_every_steps ==
                 0) {
@@ -664,21 +617,21 @@ class Pipeline
     }
 
     /**
-     * Recovery-aware wind-down, after the drainer and prefetcher
-     * joined: a flusher may die on the very last batch, after
-     * drain_done, so wait until every slot is quiet and all updates are
-     * applied while the watchdog keeps respawning dead slots and
-     * reclaiming their claims. The watchdog stops before the slots are
-     * joined so recovery can't touch a slot thread concurrently with
-     * the join; the pressure monitor is told to stop last.
+     * Recovery-aware wind-down, after the trainers and prefetcher
+     * joined (so every step is registered): a flusher may die on the
+     * very last batch, so wait until every slot is quiet and all
+     * updates are applied while the watchdog keeps respawning dead
+     * slots and reclaiming their claims. The watchdog stops before the
+     * slots are joined so recovery can't touch a slot thread
+     * concurrently with the join; the pressure monitor is told to stop
+     * last.
      */
     void
     WindDown()
     {
         run_complete_.store(true, std::memory_order_release);
         const auto quiet = [&] {
-            if (!drain_done_.load(std::memory_order_acquire) ||
-                queue_.SizeApprox() != 0)
+            if (queue_.SizeApprox() != 0)
                 return false;
             for (const auto &slot : flusher_slots_) {
                 if (slot->dead.load(std::memory_order_acquire) ||
@@ -782,10 +735,11 @@ class Pipeline
     // --- trainer stages ------------------------------------------------
 
     /**
-     * The P²F gate: step s starts once its R sets are registered, every
-     * earlier step is drained into g-entries, and no enqueued or
-     * in-flight entry has priority ≤ s (PQ.top() > s). Time spent here
-     * is the trainer's stall.
+     * The P²F gate: step s starts once its R sets are registered and no
+     * enqueued or in-flight entry has priority ≤ s (PQ.top() > s). Every
+     * earlier step is already in g-entries: the step boundary registered
+     * it before releasing the barrier. Time spent here is the trainer's
+     * stall.
      *
      * Cooperative flushing: while the gate is shut by pending entries,
      * the trainer applies them *itself* instead of parking and paying
@@ -801,7 +755,6 @@ class Pipeline
     {
         const auto gate_open = [&] {
             return prefetch_frontier_.load(std::memory_order_acquire) > s &&
-                   drained_steps_.load(std::memory_order_acquire) >= s &&
                    (config_.disable_gate_unsafe ||
                     !queue_.HasPendingAtOrBelow(s));
         };
@@ -821,7 +774,7 @@ class Pipeline
                           current_step_.load(std::memory_order_acquire),
                           s) == 0) {
                     // Nothing claimable: the gate waits on the
-                    // prefetcher/drainer, or the work is in flight on a
+                    // prefetcher, or the work is in flight on a
                     // flusher. Yield first — on a machine with fewer
                     // cores than threads that hands the timeslice
                     // straight to whichever thread the gate is waiting
@@ -924,11 +877,11 @@ class Pipeline
     }
 
     /**
-     * Model and emit of trace GPU g's step s: zero-fills g's board slot,
-     * runs the model callback (forward + backward) into it and posts it.
-     * The gate passed, so the drainer is done with the slot's previous
-     * step and its buffer is reused; the post that completes the step
-     * wakes the drainer.
+     * Model and emit of trace GPU g's step s: zero-fills g's board slot
+     * and runs the model callback (forward + backward) into it. The
+     * previous step's boundary registered the slot's old contents, so
+     * its buffer is reused; the trainer's barrier arrival hands the slot
+     * to this step's boundary.
      */
     void
     Emit(TrainerSlot &slot, Step s, GpuId g)
@@ -936,24 +889,10 @@ class Pipeline
         const std::vector<Key> &keys = trace_.KeysFor(s, g);
         BoardSlot &out = *board_[g];
         out.step = s;
-        out.keys = &keys;
         // alloc-ok: the slot's capacity persists across steps, so this
         // grows only on a step with more keys than any before it.
         out.grads.assign(keys.size() * config_.dim, 0.0f);
         grad_fn_(g, s, keys, slot.values, &out.grads);
-        // relaxed: pressure gauge; the monitor tolerates skew against
-        // the drainer's decrements.
-        staging_bytes_.fetch_add(out.grads.size() * sizeof(float),
-                                 std::memory_order_relaxed);
-        // Counted before the trainer arrives at the step barrier: the
-        // checkpoint barrier's quiescence check compares applied against
-        // emitted and must see this step's emissions.
-        // relaxed: barrier arrival orders this against the completion
-        // callback's reads; the watchdog tolerates skew.
-        updates_emitted_.fetch_add(keys.size(), std::memory_order_relaxed);
-        // release: publishes the slot to the drainer's acquire load.
-        if (posted_.fetch_add(1, std::memory_order_release) + 1 == n_gpus_)
-            board_signal_.Nudge();
     }
 
     /**
@@ -976,7 +915,7 @@ class Pipeline
         }
     }
 
-    // --- prefetch and drain stages -------------------------------------
+    // --- prefetch and registration stages ------------------------------
 
     /**
      * Oracular warming for one registered step: gather the rows the
@@ -1018,10 +957,12 @@ class Pipeline
     }
 
     /**
-     * Registers a step that is complete everywhere: its R-set removals
-     * and W-set insertions are now safe. Each gradient row is copied
-     * from its board slot straight into the g-entry's own row buffer,
-     * so registration allocates nothing per record.
+     * Registers a step that is complete everywhere (the step boundary):
+     * its R-set removals and W-set insertions are now safe. Each
+     * gradient row is copied from its board slot straight into the
+     * g-entry's own row buffer, so registration allocates nothing per
+     * record. The records then count as emitted, and the board's
+     * retained buffers feed the kQueue pressure gauge.
      */
     void
     RegisterStep(Step s)
@@ -1030,10 +971,14 @@ class Pipeline
         // Register in (key, src) order so a key's W records always
         // *arrive* in canonical order — a flush may otherwise split one
         // step's records for a key across two flushes and apply them in
-        // whatever order the GPUs happened to post them.
+        // whatever order the GPUs happened to emit them.
         drain_order_.clear();
+        std::size_t board_bytes = 0;
         for (std::uint32_t g = 0; g < n_gpus_; ++g) {
-            const std::vector<Key> &keys = *board_[g]->keys;
+            // A slot of any other step is a trace GPU nobody executed.
+            FRUGAL_DCHECK(board_[g]->step == s);
+            board_bytes += board_[g]->grads.capacity() * sizeof(float);
+            const std::vector<Key> &keys = trace_.KeysFor(s, g);
             for (std::uint32_t r = 0; r < keys.size(); ++r)
                 // alloc-ok: scratch capacity persists across steps.
                 drain_order_.push_back(
@@ -1071,6 +1016,13 @@ class Pipeline
                                        .staged = staged_at},
                            std::span<const float>(grad, dim));
         }
+        // relaxed: only this completion writes the counter; the
+        // checkpoint barrier reads it on this thread, WindDown after the
+        // trainer joins, and the watchdog tolerates skew.
+        updates_emitted_.fetch_add(drain_order_.size(),
+                                   std::memory_order_relaxed);
+        // relaxed: pressure gauge; the monitor tolerates skew.
+        staging_bytes_.store(board_bytes, std::memory_order_relaxed);
     }
 
     // --- the claim-apply path ------------------------------------------
@@ -1329,21 +1281,20 @@ class Pipeline
 
     /**
      * Consistent checkpoint barrier after step s. All trainers are
-     * parked in the barrier, so no new updates can be produced: wait
-     * for the pipeline to drain (the drainer registers step s's writes,
-     * which empties the board; flushers apply them all), then the host
-     * table + optimizer state IS the model as of the end of step s.
+     * parked in the barrier, so no new updates can be produced, and
+     * step s's writes are already registered: wait for the flushers to
+     * apply them all, then the host table + optimizer state IS the
+     * model as of the end of step s.
      */
     void
     Checkpoint(Step s)
     {
         const auto pause_start = std::chrono::steady_clock::now();
         const auto quiescent = [&] {
-            return drained_steps_.load(std::memory_order_acquire) >= s + 1 &&
-                   queue_.SizeApprox() == 0 &&
-                   // relaxed: trainers are parked in this barrier, so
-                   // emitted is frozen; only applied needs to
-                   // synchronize.
+            return queue_.SizeApprox() == 0 &&
+                   // relaxed: this thread wrote emitted last, and it
+                   // is frozen until the next boundary; only applied
+                   // needs to synchronize.
                    updates_applied_.load(std::memory_order_acquire) >=
                        updates_emitted_.load(std::memory_order_relaxed);
         };
@@ -1448,7 +1399,6 @@ class Pipeline
     {
         ProgressSnapshot snap;
         snap.current_step = current_step_.load(std::memory_order_acquire);
-        snap.drained_steps = drained_steps_.load(std::memory_order_acquire);
         snap.prefetch_frontier =
             prefetch_frontier_.load(std::memory_order_acquire);
         // relaxed: diagnostic snapshot; the two counters may be mutually
@@ -1458,8 +1408,6 @@ class Pipeline
         // relaxed: diagnostic snapshot (see above).
         snap.updates_applied =
             updates_applied_.load(std::memory_order_relaxed);
-        // relaxed: diagnostic snapshot (see above).
-        snap.staging_size = posted_.load(std::memory_order_relaxed);
         snap.pq_size = queue_.SizeApprox();
         for (const auto &slot : flusher_slots_) {
             if (slot->dead.load(std::memory_order_acquire)) {
@@ -1533,10 +1481,7 @@ class Pipeline
     {
         std::ostringstream out;
         out << queue_.DebugDump();
-        // relaxed: diagnostic dump; a stale count is harmless.
-        out << "staging " << posted_.load(std::memory_order_relaxed) << "/"
-            << n_gpus_ << " batch(es) posted, drained through step "
-            << drained_steps_.load(std::memory_order_acquire)
+        out << "step " << current_step_.load(std::memory_order_acquire)
             << ", prefetch frontier "
             << prefetch_frontier_.load(std::memory_order_acquire) << "\n";
         for (const auto &slot : flusher_slots_) {
@@ -1579,12 +1524,9 @@ class Pipeline
     const bool oracular_ = config_.oracular_prefetch;
 
     // Priorities are read steps < S; one dequeue shard per flush thread
-    // unless configured.
-    TwoLevelPQ queue_{TwoLevelPQConfig{
-        .max_step = n_steps_,
-        .n_shards = config_.pq_shards != 0
-                        ? config_.pq_shards
-                        : std::max<std::size_t>(1, config_.flush_threads)}};
+    // (Run rejects zero flush threads).
+    TwoLevelPQ queue_{TwoLevelPQConfig{.max_step = n_steps_,
+                                       .n_shards = config_.flush_threads}};
     GEntryRegistry registry_{64, config_.key_space};
     std::vector<std::unique_ptr<GpuCache>> caches_;
     // The next-use oracle (DESIGN.md §13): the trace is fully
@@ -1598,9 +1540,7 @@ class Pipeline
     GateSignal gate_;
 
     std::atomic<Step> prefetch_frontier_{0};  // steps with R sets in place
-    std::atomic<Step> drained_steps_{0};      // steps fully in g-entries
-    std::atomic<Step> current_step_{0};
-    std::atomic<bool> drain_done_{false};
+    std::atomic<Step> current_step_{0};       // steps registered in W sets
     std::atomic<bool> run_complete_{false};
     std::atomic<bool> monitor_stop_{false};
     // Degradation knobs, written by the pressure monitor and read on the
@@ -1627,9 +1567,8 @@ class Pipeline
     std::atomic<std::uint64_t> cache_rows_shed_{0};
     std::atomic<std::uint64_t> late_warm_count_{0};
     std::atomic<std::uint64_t> warms_shed_count_{0};
-    // Payload bytes of posted, not yet registered board slots (trainers
-    // add on post, the drainer subtracts after registering); feeds the
-    // kQueue pressure gauge.
+    // Bytes the board's slot buffers retain, stored by each step
+    // boundary; feeds the kQueue pressure gauge.
     std::atomic<std::size_t> staging_bytes_{0};
 
     // The step boundary's recovery counters accumulate here (written
@@ -1637,7 +1576,7 @@ class Pipeline
     // trainer joins); Report fills in the rest.
     RunReport report_;
 
-    // Drainer-only scratch, reused across steps.
+    // Step-boundary-only registration scratch, reused across steps.
     std::vector<RowRef> drain_order_;
     std::vector<Key> drain_keys_;
     std::vector<GEntry *> drain_entries_;
@@ -1655,11 +1594,10 @@ class Pipeline
     const bool auditor_armed_ = !config_.disable_gate_unsafe;
 #endif
 
-    // The staging board: one slot per trace GPU, and the number of them
-    // posted for the step being drained.
+    // The staging board: one slot per trace GPU. The step barrier orders
+    // a slot's fill before its step's boundary and that boundary before
+    // the slot's next fill.
     std::vector<CacheAligned<BoardSlot>> board_;
-    std::atomic<std::uint32_t> posted_{0};
-    GateSignal board_signal_;
     std::vector<CacheAligned<TrainerSlot>> trainers_;
     std::vector<std::unique_ptr<FlusherSlot>> flusher_slots_;
     std::barrier<StepCompletion> step_barrier_;
@@ -1705,7 +1643,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                       resume_cursor_, trace, grad_fn, step_hook);
     const auto run_start = std::chrono::steady_clock::now();
     std::thread prefetcher(&Pipeline::Prefetcher, &pipeline);
-    std::thread drainer(&Pipeline::Drainer, &pipeline);
     pipeline.StartFlushWorkers();
     std::thread pressure_monitor;
     if (config_.memory_budget != nullptr)
@@ -1717,10 +1654,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
 
     for (auto &t : trainers)
         t.join();
-    // All updates are posted; let the pipeline wind down (paper: "the
-    // system waits for flushing threads to write all deferred parameter
-    // updates to host memory").
-    drainer.join();
+    // All updates are registered; let the pipeline wind down (paper:
+    // "the system waits for flushing threads to write all deferred
+    // parameter updates to host memory").
     prefetcher.join();
     pipeline.WindDown();
     if (pressure_monitor.joinable())

@@ -10,11 +10,9 @@ bool
 ProgressSnapshot::AdvancedSince(const ProgressSnapshot &other) const
 {
     return current_step != other.current_step ||
-           drained_steps != other.drained_steps ||
            prefetch_frontier != other.prefetch_frontier ||
            updates_emitted != other.updates_emitted ||
            updates_applied != other.updates_applied ||
-           staging_size != other.staging_size ||
            pq_size != other.pq_size || run_complete != other.run_complete;
 }
 
@@ -28,8 +26,6 @@ StallKindName(StallKind kind)
         return "dead-flusher";
     case StallKind::kClaimLeak:
         return "claim-leak";
-    case StallKind::kDrainStall:
-        return "drain-stall";
     case StallKind::kEmptyQueueIdle:
         return "empty-queue-idle";
     case StallKind::kUnknown:
@@ -88,26 +84,15 @@ Watchdog::Classify(const ProgressSnapshot &snap)
     // actually fix.
     if (snap.dead_flushers > 0)
         return StallKind::kDeadFlusher;
-    // Saturating difference: the two counters are sampled without mutual
-    // ordering, so `applied` can momentarily read ahead of `emitted`.
-    const std::uint64_t unapplied =
-        snap.updates_emitted > snap.updates_applied
-            ? snap.updates_emitted - snap.updates_applied
-            : 0;
-    if (unapplied > 0) {
-        // Updates exist but aren't reaching the table. Where are they
-        // stuck? If they haven't cleared staging, the drainer is the
-        // bottleneck; if the PQ is also empty, they're claimed by
-        // someone who isn't flushing.
-        if (snap.staging_size > 0 && snap.drained_steps < snap.current_step)
-            return StallKind::kDrainStall;
-        if (snap.pq_size == 0 && snap.staging_size == 0)
-            return StallKind::kClaimLeak;
+    if (snap.pq_size != 0)
         return StallKind::kUnknown;
-    }
-    if (snap.staging_size == 0 && snap.pq_size == 0)
-        return StallKind::kEmptyQueueIdle;
-    return StallKind::kUnknown;
+    // Emitted counts records once they are registered, so unapplied
+    // work with an empty PQ can only be claimed by someone who isn't
+    // flushing it. The two counters are sampled without mutual
+    // ordering, so `applied` can momentarily read ahead of `emitted`.
+    return snap.updates_emitted > snap.updates_applied
+               ? StallKind::kClaimLeak
+               : StallKind::kEmptyQueueIdle;
 }
 
 void
@@ -187,11 +172,9 @@ Watchdog::Loop()
                    .count()
             << " ms, classified as " << StallKindName(kind)
             << " (step=" << snap.current_step
-            << " drained=" << snap.drained_steps
             << " emitted=" << snap.updates_emitted
             << " applied=" << snap.updates_applied
-            << " staging=" << snap.staging_size << " pq=" << snap.pq_size
-            << ")");
+            << " pq=" << snap.pq_size << ")");
         if (diagnose_) {
             const std::string dump = diagnose_();
             if (!dump.empty())

@@ -3,15 +3,14 @@
  * Stall watchdog for the Frugal runtime.
  *
  * The engine's liveness rests on a chain of producers: trainers emit
- * updates, the drainer registers them, flush threads apply them, and
- * the gate reopens. A dead flush thread (claims never flushed) or a
- * stalled drainer silently freezes the whole pipeline — the gate
- * predicate `HasPendingAtOrBelow(s)` never clears, trainers wait
- * forever, and nothing reports why. The Watchdog is a sampling thread
- * that (a) detects lack of progress past a deadline, (b) classifies
- * the stall from a progress snapshot, (c) dumps a diagnosis, and
- * (d) hands definitive failures (dead flush threads) to a recovery
- * callback.
+ * updates, the step boundary registers them, flush threads apply them,
+ * and the gate reopens. A dead flush thread (claims never flushed)
+ * silently freezes the whole pipeline — the gate predicate
+ * `HasPendingAtOrBelow(s)` never clears, trainers wait forever, and
+ * nothing reports why. The Watchdog is a sampling thread that
+ * (a) detects lack of progress past a deadline, (b) classifies the
+ * stall from a progress snapshot, (c) dumps a diagnosis, and (d) hands
+ * definitive failures (dead flush threads) to a recovery callback.
  *
  * Design rules:
  *  - Sampling must be non-intrusive: the snapshot callback reads
@@ -45,12 +44,11 @@ namespace frugal {
 struct ProgressSnapshot
 {
     Step current_step = 0;
-    Step drained_steps = 0;
     Step prefetch_frontier = 0;
+    /** Records registered into g-entries (a step counts at its
+     *  boundary). */
     std::uint64_t updates_emitted = 0;
     std::uint64_t updates_applied = 0;
-    /** Batches posted to the staging board, not yet registered. */
-    std::size_t staging_size = 0;
     std::size_t pq_size = 0;
     /** Flush threads whose slots are flagged dead. */
     std::size_t dead_flushers = 0;
@@ -71,8 +69,6 @@ enum class StallKind {
     /** Work is claimed (emitted > applied, PQ drained) but nobody is
      *  flushing it — claims leaked without a dead flag. */
     kClaimLeak,
-    /** Updates were emitted but the drainer isn't registering them. */
-    kDrainStall,
     /** Pipeline is empty yet idle — likely a lost gate wakeup. */
     kEmptyQueueIdle,
     kUnknown,

@@ -2,9 +2,10 @@
  * @file
  * Chaos-soak harness (DESIGN.md §12.4): long randomized fault campaigns
  * against the full FrugalEngine pipeline. Each campaign is a *seeded*
- * FaultPlan — flusher deaths, transient host writes, drainer stalls,
- * torn checkpoint writes — layered over thousands of training steps,
- * optionally with a trainer death or a mid-run memory-budget squeeze. The assertions are the system's whole
+ * FaultPlan — flusher deaths, transient host writes, torn checkpoint
+ * writes — layered over thousands of training steps, with seeded
+ * step-boundary pauses and optionally a trainer death or a mid-run
+ * memory-budget squeeze. The assertions are the system's whole
  * robustness contract at once:
  *
  *   liveness     — the run terminates (no wedged gate, no leaked claim);
@@ -19,8 +20,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/distribution.h"
 #include "common/fault_injector.h"
@@ -79,25 +84,26 @@ ExpectCampaignSound(const RunReport &report)
     EXPECT_EQ(report.audit_violations, 0u);
 }
 
-/** Scatters `count` drainer stalls of `payload_ms` over the soak at
- *  seed-derived steps (the "randomized" in randomized chaos). */
-void
-AddRandomDrainStalls(FaultPlan &plan, Rng &rng, int count,
-                     std::uint32_t payload_ms)
+/** A StepHook that pauses `payload_ms` at `count` seed-derived step
+ *  boundaries (the "randomized" in randomized chaos). Every trainer is
+ *  parked in the barrier meanwhile, so the gate stays shut. */
+StepHook
+RandomPauses(Rng &rng, int count, std::uint32_t payload_ms)
 {
-    for (int i = 0; i < count; ++i) {
-        FaultRule stall;
-        stall.site = FaultSite::kStagingDrainStall;
-        stall.context = rng() % kSoakSteps;
-        stall.payload = payload_ms;
-        plan.rules.push_back(stall);
-    }
+    std::vector<Step> steps;
+    for (int i = 0; i < count; ++i)
+        steps.push_back(rng() % kSoakSteps);
+    return [steps, payload_ms](Step step) {
+        if (std::find(steps.begin(), steps.end(), step) != steps.end())
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(payload_ms));
+    };
 }
 
 // Campaign 1: pipeline faults. A deterministic first-claim flusher
 // death plus a probabilistic death tail, flaky host writes, seeded
-// drainer stalls, and a transiently torn checkpoint write — all riding
-// one 2k-step run with periodic checkpoint barriers.
+// step-boundary pauses, and a transiently torn checkpoint write — all
+// riding one 2k-step run with periodic checkpoint barriers.
 TEST(ChaosSoakTest, PipelineFaultCampaignRecoversBitEqual)
 {
     FaultPlan plan;
@@ -121,7 +127,8 @@ TEST(ChaosSoakTest, PipelineFaultCampaignRecoversBitEqual)
     torn_ckpt.site = FaultSite::kCheckpointTornWrite;
     torn_ckpt.until_hit = 1;  // first save attempt fails, retry lands
     plan.rules.push_back(torn_ckpt);
-    AddRandomDrainStalls(plan, chaos_rng, /*count=*/4, /*payload_ms=*/3);
+    const StepHook pauses =
+        RandomPauses(chaos_rng, /*count=*/4, /*payload_ms=*/3);
     FaultInjector injector(plan);
 
     EngineConfig config = SoakConfig();
@@ -135,7 +142,7 @@ TEST(ChaosSoakTest, PipelineFaultCampaignRecoversBitEqual)
         Trace::Synthetic(dist, rng, kSoakSteps, config.n_gpus, 8);
     FrugalEngine engine(config);
     const GradFn task = MakeLinearGradTask();
-    const RunReport report = engine.Run(trace, task);
+    const RunReport report = engine.Run(trace, task, pauses);
 
     ExpectCampaignSound(report);
     EXPECT_GE(report.recovery.flusher_deaths, 1u);
@@ -149,10 +156,10 @@ TEST(ChaosSoakTest, PipelineFaultCampaignRecoversBitEqual)
 }
 
 // Campaign 2: degraded mode. A trainer death forces the survivor into
-// degraded mode — it posts its dead peer's board slot back-to-back with
-// its own each step — while flaky writes, a slow flush path and drainer
-// stalls ride along. Degradation must slow the run down, not lose
-// updates.
+// degraded mode — it fills its dead peer's board slot back-to-back with
+// its own each step — while flaky writes, a slow flush path and seeded
+// step-boundary pauses ride along. Degradation must slow the run down,
+// not lose updates.
 TEST(ChaosSoakTest, TrainerDeathCampaignDegradesWithoutLoss)
 {
     FaultPlan plan;
@@ -167,7 +174,8 @@ TEST(ChaosSoakTest, TrainerDeathCampaignDegradesWithoutLoss)
     trainer_death.context = 8;  // dies at the step-8 boundary
     trainer_death.payload = 1;  // victim GPU id
     plan.rules.push_back(trainer_death);
-    AddRandomDrainStalls(plan, chaos_rng, /*count=*/6, /*payload_ms=*/10);
+    const StepHook pauses =
+        RandomPauses(chaos_rng, /*count=*/6, /*payload_ms=*/10);
     FaultInjector injector(plan);
 
     EngineConfig config = SoakConfig();
@@ -180,7 +188,7 @@ TEST(ChaosSoakTest, TrainerDeathCampaignDegradesWithoutLoss)
         Trace::Synthetic(dist, rng, kSoakSteps, config.n_gpus, 8);
     FrugalEngine engine(config);
     const GradFn task = MakeLinearGradTask();
-    const RunReport report = engine.Run(trace, task);
+    const RunReport report = engine.Run(trace, task, pauses);
 
     ExpectCampaignSound(report);
     EXPECT_EQ(report.recovery.trainer_deaths, 1u);

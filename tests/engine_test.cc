@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/distribution.h"
@@ -446,6 +447,28 @@ TEST(EngineConfigDeathTest, ZeroLookaheadIsRejected)
     EngineConfig config;
     config.lookahead = 0;
     EXPECT_DEATH(RunShortZipf(config), "lookahead must be at least 1");
+}
+
+// These would run, but not as configured: a cache sized by an undefined
+// cast, clamped to one row or larger than the table, or checkpoints that
+// are never written. The engine rejects them at construction.
+TEST(EngineConfigDeathTest, CacheRatioOutsideUnitIntervalIsRejected)
+{
+    for (const double ratio :
+         {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        EngineConfig config;
+        config.cache_ratio = ratio;
+        EXPECT_DEATH(RunShortZipf(config), "cache_ratio must lie in")
+            << "cache_ratio " << ratio;
+    }
+}
+
+TEST(EngineConfigDeathTest, CheckpointIntervalWithoutPathIsRejected)
+{
+    EngineConfig config;
+    config.checkpoint_every_steps = 4;
+    EXPECT_DEATH(RunShortZipf(config), "checkpoint_path is empty");
 }
 
 }  // namespace

@@ -16,17 +16,14 @@
  *  - monotone priorities: a DequeueClaim batch is priority-sorted and
  *    DequeueClaimBelow never exceeds its ceiling;
  *  - slot-set accounting: per segment, popped ≤ published at every
- *    instant (the announce-before-publish protocol);
- *  - the staging-board hand-off: the drainer reads only slots of the
- *    step it drains, and no post is lost.
+ *    instant (the announce-before-publish protocol).
  *
  * The *_ReorderBugCaught test is the negative control: it runs the
  * exact announce/publish protocol of AtomicSlotSet::Insert with the
  * PR 1 bug shape deliberately re-introduced (pointer published before
  * the counter announcement) and requires the explorer to find the
  * violating schedule. If the explorer ever loses the power to catch
- * that bug class, this test fails. The staging board's *Caught tests
- * are negative controls of the same kind.
+ * that bug class, this test fails.
  *
  * These tests are meaningful only when the model_atomic shims are live
  * (FRUGAL_MODELCHECK builds — the `modelcheck` preset); elsewhere they
@@ -376,7 +373,7 @@ TEST(ModelCheckTwoLevelPQ, ShardedDequeueExactlyOnce)
             st->SeedDeferred(2);
 
             ex.Thread([st] {
-                // Staging drain registers a new update concurrently.
+                // A registration adds a new update concurrently.
                 RegisterRead(st->queue, st->entry(3), /*step=*/1);
                 RegisterUpdate(st->queue, st->entry(3),
                                WriteRecord{/*step=*/0, 0, {}, {}});
@@ -487,7 +484,7 @@ TEST(ModelCheckTwoLevelPQ, GateVsEnqueueAndFlush)
                 }
             });
             ex.Thread([st] {
-                // Staging drain enqueues an unrelated later-step entry
+                // A registration enqueues an unrelated later-step entry
                 // while the gate scans the bucket counters.
                 RegisterRead(st->queue, st->entry(1), /*step=*/2);
                 RegisterUpdate(st->queue, st->entry(1),
@@ -503,176 +500,6 @@ TEST(ModelCheckTwoLevelPQ, GateVsEnqueueAndFlush)
     ReportExploration("GateVsEnqueueAndFlush", result);
     EXPECT_TRUE(result.clean()) << result.first_violation;
     EXPECT_GE(result.distinct_schedules, kDistinctTarget);
-}
-
-// --------------------------------------------------------------------
-// Staging-board hand-off (FrugalEngine's trainers -> drainer).
-//
-// MiniBoard reproduces the engine's protocol over model_atomic. A
-// poster waits until `drained` reaches its step (the gate's drained
-// term), fills its slot and increments `posted`. The drainer waits until
-// every slot is posted, reads the slots, resets `posted` and only then
-// publishes `drained = s + 1` — the one store that lets a poster
-// overwrite its slot. Two posters post steps 0 and 1, one drainer
-// drains both, and every wait is a bounded number of polls. The buggy
-// orders publish `drained` before reading the slots (a poster
-// overwrites a slot mid-read) or before resetting the count (a poster's
-// increment is wiped: a lost post).
-// --------------------------------------------------------------------
-
-enum class DrainOrder {
-    kReadResetPublish,    // the engine's order
-    kPublishBeforeRead,   // reset, publish, read
-    kPublishBeforeReset,  // read, publish, reset
-};
-
-struct MiniBoard
-{
-    static constexpr int kPosters = 2;
-    static constexpr int kSteps = 2;
-    /** Polls of a wait before its thread gives up. */
-    static constexpr int kAttempts = 3;
-
-    // A slot's step and payload are separate atomics, so a read that
-    // races a post can observe half of each.
-    std::array<model_atomic<int>, kPosters> slot_step{};
-    std::array<model_atomic<int>, kPosters> slot_payload{};
-    model_atomic<int> posted{0};
-    model_atomic<int> drained{0};
-    /** Steps each poster posted; written by that poster only, read on
-     *  the driving thread after Go(). */
-    std::array<int, kPosters> steps_posted{};
-
-    static int
-    Payload(int step, int poster)
-    {
-        return 10 * step + poster + 1;
-    }
-
-    void
-    Poster(int poster)
-    {
-        for (int s = 0; s < kSteps; ++s) {
-            bool open = false;
-            for (int attempt = 0; attempt < kAttempts && !open; ++attempt)
-                open = drained.load() >= s;
-            if (!open)
-                return;
-            slot_step[poster].store(s);
-            slot_payload[poster].store(Payload(s, poster));
-            posted.fetch_add(1);
-            steps_posted[poster] = s + 1;
-        }
-    }
-
-    /** The drainer's read of step s's slots (RegisterStep). */
-    void
-    ReadSlots(int s)
-    {
-        for (int p = 0; p < kPosters; ++p) {
-            const int step = slot_step[p].load();
-            const int payload = slot_payload[p].load();
-            check::ModelAssert(step == s && payload == Payload(s, p),
-                               "board slot overwritten mid-read");
-        }
-    }
-
-    void
-    Drainer(DrainOrder order)
-    {
-        for (int s = 0; s < kSteps; ++s) {
-            bool full = false;
-            for (int attempt = 0; attempt < kAttempts && !full; ++attempt)
-                full = posted.load() == kPosters;
-            if (!full)
-                return;
-            switch (order) {
-            case DrainOrder::kReadResetPublish:
-                ReadSlots(s);
-                posted.store(0);
-                drained.store(s + 1);
-                break;
-            case DrainOrder::kPublishBeforeRead:
-                posted.store(0);
-                drained.store(s + 1);
-                ReadSlots(s);
-                break;
-            case DrainOrder::kPublishBeforeReset:
-                ReadSlots(s);
-                drained.store(s + 1);
-                posted.store(0);
-                break;
-            }
-        }
-    }
-
-    /** At quiescence `posted` must count exactly the posts for the step
-     *  the drainer is on (none once every step is drained). */
-    void
-    CheckNoLostPost(check::Explorer &ex)
-    {
-        const int step = drained.load();
-        int expected = 0;
-        for (int p = 0; p < kPosters; ++p)
-            expected += step < kSteps && steps_posted[p] > step ? 1 : 0;
-        ex.Check(posted.load() == expected,
-                 "board lost a post: posted count below the posts made");
-    }
-};
-
-check::Result
-ExploreBoard(DrainOrder order, const check::Options &options)
-{
-    return check::Explore(options, [order](check::Explorer &ex) {
-        auto board = std::make_shared<MiniBoard>();
-        ex.Thread([board] { board->Poster(0); });
-        ex.Thread([board] { board->Poster(1); });
-        ex.Thread([board, order] { board->Drainer(order); });
-        ex.Go();
-        board->CheckNoLostPost(ex);
-    });
-}
-
-TEST(ModelCheckStagingBoard, ReadResetPublishHandsOffCleanly)
-{
-    FRUGAL_REQUIRE_MODELCHECK();
-    const check::Result result =
-        ExploreBoard(DrainOrder::kReadResetPublish, DefaultOptions());
-    ReportExploration("StagingBoardReadResetPublish", result);
-    EXPECT_TRUE(result.clean()) << result.first_violation;
-    EXPECT_GE(result.distinct_schedules, kDistinctTarget);
-}
-
-TEST(ModelCheckStagingBoard, PublishBeforeReadCaught)
-{
-    FRUGAL_REQUIRE_MODELCHECK();
-    check::Options options = DefaultOptions();
-    options.stop_on_violation = true;
-    const check::Result result =
-        ExploreBoard(DrainOrder::kPublishBeforeRead, options);
-    ReportExploration("StagingBoardPublishBeforeReadCaught", result);
-    ASSERT_GT(result.violations, 0u)
-        << "the explorer failed to catch a slot overwritten mid-read: "
-        << result.Summary();
-    EXPECT_NE(result.first_violation.find("overwritten mid-read"),
-              std::string::npos)
-        << result.first_violation;
-}
-
-TEST(ModelCheckStagingBoard, PublishBeforeResetCaught)
-{
-    FRUGAL_REQUIRE_MODELCHECK();
-    check::Options options = DefaultOptions();
-    options.stop_on_violation = true;
-    const check::Result result =
-        ExploreBoard(DrainOrder::kPublishBeforeReset, options);
-    ReportExploration("StagingBoardPublishBeforeResetCaught", result);
-    ASSERT_GT(result.violations, 0u)
-        << "the explorer failed to catch a lost post: "
-        << result.Summary();
-    EXPECT_NE(result.first_violation.find("lost a post"),
-              std::string::npos)
-        << result.first_violation;
 }
 
 }  // namespace

@@ -246,7 +246,7 @@ TEST(GEntryTest, OutOfOrderWritesApplyInCanonicalOrderWithOwnRows)
 TEST(GEntryTest, SteadyStateAddFlushCyclesDoNotAllocate)
 {
     // The engine's per-update path: the prefetcher registers a read,
-    // the drainer removes it and adds one row per GPU, a flusher applies
+    // registration removes it and adds one row per GPU, a flusher applies
     // the sorted W set and clears it. After one warm-up cycle has sized
     // the buffers, that cycle must never touch the heap.
     constexpr std::size_t kDim = 16;

@@ -195,7 +195,7 @@ TEST(TwoLevelPQTest, BatchedDequeueAmortisesScan)
 
 TEST(TwoLevelPQTest, ReEnqueueDuringClaimLeavesNoZombie)
 {
-    // Regression: the drain thread re-enqueues an entry between a flush
+    // Regression: a registration re-enqueues an entry between a flush
     // thread's claim and its take; the flush consumes the new writes too
     // and must retire the standing enqueue, or the queue never looks
     // empty again (a live-lock observed in the async ablation).
@@ -208,7 +208,7 @@ TEST(TwoLevelPQTest, ReEnqueueDuringClaimLeavesNoZombie)
     std::vector<ClaimTicket> out;
     ASSERT_EQ(q.DequeueClaim(out, 1), 1u);  // claimed (enqueued=false)
 
-    // Drain thread interleaves: step 5's update arrives, re-enqueuing
+    // A registration interleaves: step 5's update arrives, re-enqueuing
     // the claimed entry at priority 9.
     RegisterUpdate(q, e, {5, 0, {}});
     EXPECT_EQ(q.SizeApprox(), 1u);
