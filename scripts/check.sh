@@ -219,6 +219,17 @@ if ! ./build/bench/bench_chaos --smoke --out build/BENCH_chaos.json; then
     failures=$((failures + 1))
 fi
 
+# --- 4d2. repository benchmark self-test --------------------------------
+# perfbench/test_perfbench.py trains every benchmark workload (BENCHMARK.json)
+# on the real engine, untraced and traced, checks each run bit-for-bit
+# against the oracle, and runs the --tamper negative control, which the
+# verification must catch. It builds the benchmark into .bench_build/ on
+# first use. Hard gate.
+note "perfbench self-test (oracle-verified workloads, hard gate)"
+if ! python3 perfbench/test_perfbench.py; then
+    failures=$((failures + 1))
+fi
+
 # --- 4e. deterministic interleaving explorer ----------------------------
 # Rebuilds the flush-path core with the model_atomic shims live and
 # exhausts/samples schedules per scenario (DESIGN.md §10.2). Complements

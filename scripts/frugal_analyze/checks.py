@@ -68,7 +68,8 @@ the sleep `// retry-exempt: <why>` when it is genuinely not a retry
     "hotpath-alloc": """\
 Allocation on a hot path: functions on the hot list (the engine's
 claim-apply path ApplyClaims/FlushEntryRun, the trainer's Gather, the
-step boundary's RegisterStep and GEntry::AddWriteLocked, DrainBucket,
+prefetcher's PlanStep, the step boundary's RegisterStep and
+GEntry::AddWriteLocked, DrainBucket,
 GpuCache::TryGet/Put/UpdateIfPresent, the oracular warm/evict paths
 (WarmBegin/WarmCommit/WarmOne/EvictIfDead/PickVictimLocked), the row
 kernels) must not allocate directly or via a directly-called function.

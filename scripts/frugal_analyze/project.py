@@ -84,8 +84,11 @@ HOT_FUNCTIONS = (
     # slot.
     "Pipeline::Gather",
     "Pipeline::Emit",
-    # Per-step registration in the step-barrier completion and the
-    # g-entry W-set insert it runs once per staged update record.
+    # Per-step registration: the prefetcher plans each future step
+    # (sorted records, unique keys, their g-entries) and registers its
+    # reads; the step-barrier completion executes the plan, one
+    # g-entry W-set insert per staged update record.
+    "Pipeline::PlanStep",
     "Pipeline::RegisterStep",
     "GEntry::AddWriteLocked",
     # Two-level PQ dequeue path

@@ -46,8 +46,9 @@ enum class MemoryComponent : std::uint8_t {
     kFlatMap,
     /** GpuCache row storage + LRU bookkeeping. */
     kCache,
-    /** Staging board payload (the gradient buffers the board retains
-     *  between steps; about one step's). */
+    /** Staging payload: the gradient buffers the staging board retains
+     *  between steps (about one step's) plus the prefetcher's plan ring
+     *  (about L steps' record references, keys and entry pointers). */
     kQueue,
     kComponentCount,
 };

@@ -1,5 +1,6 @@
 #include "data/trace_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -85,24 +86,42 @@ SaveTrace(const Trace &trace, const std::string &path)
 std::optional<Trace>
 LoadTrace(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in.good())
         return std::nullopt;
+    const std::streamoff file_bytes = in.tellg();
+    in.seekg(0);
     Header header;
     in.read(reinterpret_cast<char *>(&header), sizeof(header));
     if (!in.good() || header.magic != kMagic ||
         header.version != kVersion || header.n_gpus == 0) {
         return std::nullopt;
     }
+    // Every length field is bounded by the bytes the file has left
+    // before anything is allocated (divisions, so no product overflows):
+    // a corrupt header must not drive a multi-GB allocation. `left`
+    // counts the bytes between the header and the trailing checksum.
+    constexpr std::streamoff kFraming =
+        sizeof(Header) + sizeof(std::uint64_t);
+    if (file_bytes < kFraming)
+        return std::nullopt;
+    auto left = static_cast<std::uint64_t>(file_bytes - kFraming);
+    if (header.steps > left / sizeof(std::uint32_t) / header.n_gpus)
+        return std::nullopt;
     Fnv fnv;
     std::vector<StepKeys> steps(header.steps);
+    std::vector<Key> sorted;
     for (auto &step : steps) {
         step.per_gpu.resize(header.n_gpus);
         for (auto &keys : step.per_gpu) {
             std::uint32_t count = 0;
-            in.read(reinterpret_cast<char *>(&count), sizeof(count));
-            if (!in.good())
+            if (left < sizeof(count))
                 return std::nullopt;
+            in.read(reinterpret_cast<char *>(&count), sizeof(count));
+            left -= sizeof(count);
+            if (!in.good() || count > left / sizeof(Key))
+                return std::nullopt;
+            left -= count * sizeof(Key);
             keys.resize(count);
             in.read(reinterpret_cast<char *>(keys.data()),
                     static_cast<std::streamsize>(count * sizeof(Key)));
@@ -110,6 +129,16 @@ LoadTrace(const std::string &path)
                 return std::nullopt;
             fnv.Mix(&count, sizeof(count));
             fnv.Mix(keys.data(), keys.size() * sizeof(Key));
+            // Keys index the table and are unique per (step, GPU) list
+            // (data/trace.h): registration order and the oracle rely on
+            // both.
+            sorted.assign(keys.begin(), keys.end());
+            std::sort(sorted.begin(), sorted.end());
+            if ((!sorted.empty() && sorted.back() >= header.key_space) ||
+                std::adjacent_find(sorted.begin(), sorted.end()) !=
+                    sorted.end()) {
+                return std::nullopt;
+            }
         }
     }
     std::uint64_t stored = 0;

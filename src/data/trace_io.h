@@ -26,7 +26,10 @@ void SaveTrace(const Trace &trace, const std::string &path);
 /**
  * Loads a trace from `path`.
  * @return the trace, or nullopt if the file is missing, malformed, or
- *         fails its checksum.
+ *         fails its checksum; if a length field claims more than the
+ *         file holds; or if a key lies outside the key space or repeats
+ *         within one (step, GPU) list. What it allocates stays
+ *         proportional to the file's size.
  */
 std::optional<Trace> LoadTrace(const std::string &path);
 

@@ -5,9 +5,12 @@
  *
  *  - RegisterRead: the prefetch thread saw `key` in the sample queue for
  *    step s ⇒ insert s into the R set (and re-prioritise if enqueued).
+ *    The engine calls it once per unique key per step, when it plans
+ *    the step.
  *  - RegisterUpdate: the step boundary registers ⟨key, s, Δ⟩ ⇒
  *    remove s from the R set, append to the W set (copying Δ into the
- *    entry's row buffer), enqueue or re-prioritise.
+ *    entry's row buffer), enqueue or re-prioritise. The engine calls it
+ *    once per (key, src) record, in the step plan's (key, src) order.
  *  - FlushClaimed / TakeClaimedWrites: a flush thread owns a claimed
  *    entry ⇒ apply (or detach) its W set in canonical (step, src) order.
  *

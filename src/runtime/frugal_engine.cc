@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/cacheline.h"
@@ -67,6 +68,34 @@ struct RowRef
     Key key;
     GpuId src;
     std::uint32_t row;
+};
+
+/**
+ * One future step's registration plan: what the step boundary needs to
+ * register the step, worked out by the prefetcher when it registers the
+ * step's R sets (Pipeline::PlanStep) so the boundary only executes it.
+ * The plans live in a ring of lookahead slots whose vectors keep their
+ * capacity from lap to lap (DESIGN.md §6 states the hand-off).
+ */
+struct StepPlan
+{
+    /** The step the slot was last planned for (the boundary checks it). */
+    Step step = 0;
+    /** Every (key, src, row) record of the step, in (key, src) order. */
+    std::vector<RowRef> refs;
+    /** The step's unique keys, ascending: the key runs of `refs`. */
+    std::vector<Key> keys;
+    /** entries[i] is keys[i]'s g-entry. */
+    std::vector<GEntry *> entries;
+
+    /** Bytes the three vectors retain (capacity, not size). */
+    std::size_t
+    RetainedBytes() const
+    {
+        return refs.capacity() * sizeof(RowRef) +
+               keys.capacity() * sizeof(Key) +
+               entries.capacity() * sizeof(GEntry *);
+    }
 };
 
 double
@@ -219,7 +248,10 @@ class Pipeline
         : config_(config), table_(table), optimizer_(optimizer),
           ownership_(ownership), first_step_(first_step), trace_(trace),
           grad_fn_(grad_fn), step_hook_(step_hook), executor_(n_gpus_),
-          trainer_dead_(n_gpus_), board_(n_gpus_), trainers_(n_gpus_),
+          trainer_dead_(n_gpus_), board_(n_gpus_),
+          plans_(std::max<std::size_t>(
+              1, std::min<std::size_t>(config.lookahead, n_steps_))),
+          trainers_(n_gpus_),
           step_barrier_(static_cast<std::ptrdiff_t>(n_gpus_),
                         StepCompletion{this}),
           watchdog_(
@@ -270,9 +302,10 @@ class Pipeline
     }
 
     /**
-     * The sample queue (§3.2): registers each step's R sets up to the
-     * effective lookahead ahead of training, advances the prefetch
-     * frontier, and (oracular) warms the owner caches for the step.
+     * The sample queue (§3.2): plans each step up to the effective
+     * lookahead ahead of training and registers its R sets (PlanStep),
+     * advances the prefetch frontier, and (oracular) warms the owner
+     * caches for the step.
      *
      * Wake hysteresis: parking per advanced step costs one futex round
      * trip per training step. Sleep until a burst of headroom (half the
@@ -286,7 +319,6 @@ class Pipeline
     void
     Prefetcher()
     {
-        std::vector<GEntry *> resolved;
         // Simulated-PCIe debt for warm gathers: paid as sleeps, so on an
         // oversubscribed host the prefetcher yields instead of stealing
         // trainer cycles — the DMA-latency-hiding the warm path exists
@@ -320,17 +352,10 @@ class Pipeline
                                   can_prefetch)) {
             }
             while (frontier < window_end(lookahead())) {
-                for (std::uint32_t g = 0; g < n_gpus_; ++g) {
-                    // Batched get-or-create: one registry shard-lock
-                    // take per same-shard key run instead of one per
-                    // key.
-                    const std::vector<Key> &keys =
-                        trace_.KeysFor(frontier, g);
-                    resolved.resize(keys.size());
-                    registry_.GetOrCreateBatch(keys, resolved.data());
-                    for (GEntry *entry : resolved)
-                        RegisterRead(queue_, *entry, frontier);
-                }
+                // The plan is written before the frontier's release
+                // store, which every trainer's gate acquires before it
+                // arrives at the step's barrier (DESIGN.md §6).
+                PlanStep(frontier);
                 const Step target = frontier++;
                 prefetch_frontier_.store(frontier,
                                          std::memory_order_release);
@@ -487,9 +512,11 @@ class Pipeline
             for (const auto &cache : caches_)
                 cache_total += cache->MemoryBytes();
             budget_->Publish(MemoryComponent::kCache, cache_total);
-            budget_->Publish(MemoryComponent::kQueue,
-                             // relaxed: gauge; skew tolerated.
-                             staging_bytes_.load(std::memory_order_relaxed));
+            budget_->Publish(
+                MemoryComponent::kQueue,
+                // relaxed: gauges; skew tolerated.
+                staging_bytes_.load(std::memory_order_relaxed) +
+                    plan_bytes_.load(std::memory_order_relaxed));
             const PressureStage stage = budget_->Evaluate();
             if (stage != reacted) {
                 // Staged reactions. Oracular warming is pure optimism
@@ -957,60 +984,88 @@ class Pipeline
     }
 
     /**
+     * Plans step f's registration and registers its R sets (prefetcher
+     * only). The plan sorts the step's records into (key, src) order, so
+     * a key's W records always *arrive* in canonical order (a flush may
+     * otherwise split one step's records for a key across two flushes
+     * and apply them in whatever order the GPUs emitted them). It also
+     * lists the unique keys and resolves their g-entries in one batched
+     * registry call (one shard lock per same-shard run); each entry then
+     * gets one RegisterRead for step f.
+     */
+    void
+    PlanStep(Step f)
+    {
+        StepPlan &plan = *plans_[f % plans_.size()];
+        const std::size_t retained = plan.RetainedBytes();
+        plan.step = f;
+        plan.refs.clear();
+        for (std::uint32_t g = 0; g < n_gpus_; ++g) {
+            const std::vector<Key> &keys = trace_.KeysFor(f, g);
+            for (std::uint32_t r = 0; r < keys.size(); ++r)
+                // alloc-ok: the slot's capacity persists across laps.
+                plan.refs.push_back(
+                    RowRef{keys[r], static_cast<GpuId>(g), r});
+        }
+        std::sort(plan.refs.begin(), plan.refs.end(),
+                  [](const RowRef &a, const RowRef &b) {
+                      return a.key != b.key ? a.key < b.key : a.src < b.src;
+                  });
+        plan.keys.clear();
+        for (const RowRef &ref : plan.refs) {
+            if (plan.keys.empty() || ref.key != plan.keys.back())
+                // alloc-ok: the slot's capacity persists across laps.
+                plan.keys.push_back(ref.key);
+        }
+        // alloc-ok: the slot's capacity persists across laps.
+        plan.entries.resize(plan.keys.size());
+        registry_.GetOrCreateBatch(plan.keys, plan.entries.data());
+        for (GEntry *entry : plan.entries)
+            RegisterRead(queue_, *entry, f);
+        // Capacities only grow, so the ring's gauge only adds.
+        // relaxed: pressure gauge; the monitor tolerates skew.
+        plan_bytes_.fetch_add(plan.RetainedBytes() - retained,
+                              std::memory_order_relaxed);
+    }
+
+    /**
      * Registers a step that is complete everywhere (the step boundary):
-     * its R-set removals and W-set insertions are now safe. Each
-     * gradient row is copied from its board slot straight into the
-     * g-entry's own row buffer, so registration allocates nothing per
-     * record. The records then count as emitted, and the board's
-     * retained buffers feed the kQueue pressure gauge.
+     * its R-set removals and W-set insertions are now safe. It executes
+     * the step's plan (PlanStep): one RegisterUpdate per record, in
+     * plan order, with no sort and no registry call. Each gradient row
+     * is copied from its board slot straight into the g-entry's own row
+     * buffer, so registration allocates nothing per record. The records
+     * then count as emitted, and the board's retained buffers feed the
+     * kQueue pressure gauge.
      */
     void
     RegisterStep(Step s)
     {
         const std::size_t dim = config_.dim;
-        // Register in (key, src) order so a key's W records always
-        // *arrive* in canonical order — a flush may otherwise split one
-        // step's records for a key across two flushes and apply them in
-        // whatever order the GPUs happened to emit them.
-        drain_order_.clear();
+        const StepPlan &plan = *plans_[s % plans_.size()];
+        FRUGAL_DCHECK(plan.step == s);
         std::size_t board_bytes = 0;
         for (std::uint32_t g = 0; g < n_gpus_; ++g) {
             // A slot of any other step is a trace GPU nobody executed.
             FRUGAL_DCHECK(board_[g]->step == s);
             board_bytes += board_[g]->grads.capacity() * sizeof(float);
-            const std::vector<Key> &keys = trace_.KeysFor(s, g);
-            for (std::uint32_t r = 0; r < keys.size(); ++r)
-                // alloc-ok: scratch capacity persists across steps.
-                drain_order_.push_back(
-                    RowRef{keys[r], static_cast<GpuId>(g), r});
         }
-        std::sort(drain_order_.begin(), drain_order_.end(),
-                  [](const RowRef &a, const RowRef &b) {
-                      return a.key != b.key ? a.key < b.key : a.src < b.src;
-                  });
-        // Consecutive refs with equal keys hit the same g-entry; resolve
-        // the step's whole (sorted, unique) key list in one batched
-        // registry call — one shard lock per same-shard run instead of
-        // one per key.
-        drain_keys_.clear();
-        for (const RowRef &ref : drain_order_) {
-            if (drain_keys_.empty() || ref.key != drain_keys_.back())
-                // alloc-ok: scratch capacity persists across steps.
-                drain_keys_.push_back(ref.key);
-        }
-        // alloc-ok: scratch capacity persists across steps.
-        drain_entries_.resize(drain_keys_.size());
-        registry_.GetOrCreateBatch(drain_keys_, drain_entries_.data());
         // One stamp for the step's records: flush lag is measured from
         // here, and the whole step registers in one pass.
         const auto staged_at = std::chrono::steady_clock::now();
         std::size_t run = 0;
-        for (const RowRef &ref : drain_order_) {
-            if (ref.key != drain_keys_[run])
-                ++run;  // drain_order_ and drain_keys_ sort identically
+        for (std::size_t i = 0; i < plan.refs.size(); ++i) {
+            const RowRef &ref = plan.refs[i];
+            // Canonical arrival order (DESIGN.md §5 item 4): strictly
+            // increasing (key, src).
+            FRUGAL_DCHECK(i == 0 || std::tie(plan.refs[i - 1].key,
+                                             plan.refs[i - 1].src) <
+                                        std::tie(ref.key, ref.src));
+            if (ref.key != plan.keys[run])
+                ++run;  // refs and keys sort identically
             const float *grad = board_[ref.src]->grads.data() +
                                 static_cast<std::size_t>(ref.row) * dim;
-            RegisterUpdate(queue_, *drain_entries_[run],
+            RegisterUpdate(queue_, *plan.entries[run],
                            WriteRecord{.step = s,
                                        .src = ref.src,
                                        .staged = staged_at},
@@ -1019,7 +1074,7 @@ class Pipeline
         // relaxed: only this completion writes the counter; the
         // checkpoint barrier reads it on this thread, WindDown after the
         // trainer joins, and the watchdog tolerates skew.
-        updates_emitted_.fetch_add(drain_order_.size(),
+        updates_emitted_.fetch_add(plan.refs.size(),
                                    std::memory_order_relaxed);
         // relaxed: pressure gauge; the monitor tolerates skew.
         staging_bytes_.store(board_bytes, std::memory_order_relaxed);
@@ -1567,19 +1622,17 @@ class Pipeline
     std::atomic<std::uint64_t> cache_rows_shed_{0};
     std::atomic<std::uint64_t> late_warm_count_{0};
     std::atomic<std::uint64_t> warms_shed_count_{0};
-    // Bytes the board's slot buffers retain, stored by each step
-    // boundary; feeds the kQueue pressure gauge.
+    // Bytes the board's slot buffers retain (stored by each step
+    // boundary) and the plan ring's vectors retain (grown by the
+    // prefetcher); together they feed the kQueue pressure gauge.
     std::atomic<std::size_t> staging_bytes_{0};
+    std::atomic<std::size_t> plan_bytes_{0};
 
     // The step boundary's recovery counters accumulate here (written
     // only by the single-threaded barrier completion; read after the
     // trainer joins); Report fills in the rest.
     RunReport report_;
 
-    // Step-boundary-only registration scratch, reused across steps.
-    std::vector<RowRef> drain_order_;
-    std::vector<Key> drain_keys_;
-    std::vector<GEntry *> drain_entries_;
     // Prefetcher-only warm scratch: the subset of a future step's keys
     // owned by the thread that will execute them, plus their hints.
     std::vector<Key> warm_keys_;
@@ -1598,6 +1651,10 @@ class Pipeline
     // a slot's fill before its step's boundary and that boundary before
     // the slot's next fill.
     std::vector<CacheAligned<BoardSlot>> board_;
+    // The plan ring: step f's plan is slot f % size, sized to the
+    // configured lookahead (capped at the run's steps) so the prefetcher
+    // reuses a slot only after its boundary ran the plan (DESIGN.md §6).
+    std::vector<CacheAligned<StepPlan>> plans_;
     std::vector<CacheAligned<TrainerSlot>> trainers_;
     std::vector<std::unique_ptr<FlusherSlot>> flusher_slots_;
     std::barrier<StepCompletion> step_barrier_;

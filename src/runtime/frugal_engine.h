@@ -11,16 +11,19 @@
  *    owned keys, host memory for the rest), run the model callback into
  *    that GPU's slot on the staging board, and arrive at the step
  *    barrier. The barrier's completion, run by one of them while the
- *    rest are parked, moves the step's ⟨key, step, Δ⟩ records into
- *    g-entries/W sets and adjusts PQ priorities. Registering only there,
+ *    rest are parked, executes the step's registration plan: it moves
+ *    the step's ⟨key, step, Δ⟩ records into g-entries/W sets and
+ *    adjusts PQ priorities. Registering only there,
  *    once every GPU has finished the step, matters: removing step s
  *    from an R set while another GPU is still executing step s would
  *    let a flush expose a post-step value mid-step (a race the paper's
  *    proof implicitly excludes). The paper's controller has a drain
  *    role for this; here the next step must wait for the registration
  *    anyway, so it runs where the trainers already wait;
- *  - 1 prefetch thread: walks the trace `L` steps ahead of training and
- *    registers R-set entries (the sample queue);
+ *  - 1 prefetch thread: walks the trace `L` steps ahead of training,
+ *    plans each step's registration (its records in (key, src) order,
+ *    its unique keys and their g-entries) and registers R-set entries
+ *    (the sample queue);
  *  - `flush_threads` flush threads: claim min-priority g-entries, apply
  *    their W sets to host memory, refresh the owner GPU's cached copy
  *    ("H2D"), and wake the gate. Gate-blocked trainers and the
