@@ -27,15 +27,9 @@ per-function fixpoint summaries (ranks/blocking/allocs transitively
 reached, SCC-condensed so recursion is safe) that the deep checks probe.
 See summaries.py and DESIGN.md §11.
 
-Two frontends share one facts model: `clang` drives
-`clang++ -Xclang -ast-dump=json` over compile_commands.json when the
-compiler is available; `internal` is a dependency-free lexer-based
-extractor that runs anywhere Python does. `--frontend auto` (the
-default) picks clang when it can and falls back with a notice.
+One frontend feeds the checks: frontend_internal.py, a dependency-free
+lexer-based extractor that runs anywhere Python does, so every host
+extracts the same facts. Each run parses every source it is given.
 """
 
 __version__ = "2.0"
-
-# Bump whenever the facts schema or frontend extraction changes, so stale
-# incremental-cache entries (keyed by content hash + schema) are ignored.
-SCHEMA_VERSION = 7

@@ -44,7 +44,7 @@ FRUGAL_GUARDED_BY/FRUGAL_PT_GUARDED_BY one of its locks, or carry a
 (thread confinement, striped locks, init-before-spawn, ...).""",
     "atomics-relaxed": """\
 Unjustified relaxed ordering: each memory_order_relaxed use needs a
-`// relaxed: <why>` comment on the same line or within --window lines
+`// relaxed: <why>` comment on the same line or within the 6 lines
 above, stating why dropping the ordering is sound (counter only, value
 republished with release, etc.).""",
     "atomics-raw": """\
@@ -576,25 +576,15 @@ def check_hotpath_alloc(project: ProjectFacts, reg: Registry,
 
 
 def run_checks(project: ProjectFacts, cfg: CheckConfig,
-               stats_out: Optional[Dict[str, int]] = None,
-               summary_cache=None) -> List[Diagnostic]:
+               stats_out: Optional[Dict[str, int]] = None) \
+        -> List[Diagnostic]:
     """Runs the configured checks. Info-severity diagnostics
     (analyzer-ambiguous) ride along in the returned list; callers that
     gate exit codes filter on `severity`. When `stats_out` is given it
-    receives the call-resolution kind counts. `summary_cache` is an
-    optional (FactsCache, project_digest) pair holding the serialized
-    summary fixpoint; resolution stats then cover only check-driven
-    resolutions, since the fixpoint's own resolutions are skipped."""
+    receives the call-resolution kind counts."""
     reg = build_registry(project)
     resolver = Resolver(reg)
-    summaries = None
-    if summary_cache is not None:
-        cache, digest = summary_cache
-        summaries = cache.get_summaries(digest)
-    if summaries is None:
-        summaries = build_summaries(project, reg, resolver)
-        if summary_cache is not None:
-            cache.put_summaries(digest, summaries)
+    summaries = build_summaries(project, reg, resolver)
     diags: List[Diagnostic] = []
     if "layering" in cfg.checks:
         diags += check_layering(project, cfg)

@@ -1,6 +1,7 @@
 """Command-line driver.
 
     python3 scripts/frugal_analyze [paths...]          # analyze src/
+    python3 scripts/frugal_analyze --checks atomics-relaxed tests/x.cc
     python3 scripts/frugal_analyze --explain lock-rank
     python3 scripts/frugal_analyze --list-checks
     python3 scripts/frugal_analyze --format=sarif > findings.sarif
@@ -17,14 +18,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import __version__
-from .cache import FactsCache, include_closure_salts, project_digest
 from .checks import CHECK_IDS, EXPLAIN, CheckConfig, run_checks
 from .diagnostics import Baseline, Diagnostic
-from .facts import FileFacts, ProjectFacts
-from . import frontend_clang
+from .facts import ProjectFacts
 from .frontend_internal import parse_file
 from .project import HOT_FUNCTIONS
 from .summaries import RESOLUTION_KINDS
@@ -47,23 +46,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--src-root", default=None,
                     help="root the module layout is resolved against "
                          "(default: <repo>/src)")
-    ap.add_argument("--frontend", choices=("auto", "internal", "clang"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json for the clang frontend "
-                         "(default: <repo>/build/compile_commands.json)")
-    ap.add_argument("--cache-dir", default=None,
-                    help="incremental facts cache "
-                         "(default: <repo>/build/.analyze-cache)")
-    ap.add_argument("--no-cache", action="store_true")
     ap.add_argument("--baseline", default=None,
                     help="suppression baseline file (default: "
                          "scripts/frugal_analyze/baseline.txt)")
     ap.add_argument("--no-baseline", action="store_true")
     ap.add_argument("--write-baseline", action="store_true",
                     help="rewrite the baseline with current findings")
-    ap.add_argument("--window", type=int, default=6,
-                    help="comment-tag search window in lines (default 6)")
     ap.add_argument("--hot", action="append", default=None,
                     metavar="NAME",
                     help="replace the hot-function list (repeatable)")
@@ -76,8 +64,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     default="text",
                     help="findings output format (default text; sarif "
                          "emits a SARIF 2.1.0 document on stdout)")
-    ap.add_argument("--stats", action="store_true",
-                    help="print cache and corpus statistics")
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="also print info-severity diagnostics "
                          "(analyzer-ambiguous) and call-resolution "
@@ -88,55 +74,48 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def collect_sources(paths: List[str], src_root: str) -> Dict[str, str]:
-    """Returns {src-root-relative path: absolute path}."""
+def collect_sources(paths: List[str], src_root: str,
+                    repo: str) -> Dict[str, str]:
+    """Returns {key: absolute path}. A file under `src_root` is keyed by
+    its src-root-relative path (what the module checks resolve against);
+    any other file by its path relative to `repo`, so two files that
+    share a basename stay distinct."""
     out: Dict[str, str] = {}
     roots = paths or [src_root]
     for root in roots:
         root = os.path.abspath(root)
         if os.path.isfile(root):
-            _add_source(out, root, src_root)
+            _add_source(out, root, src_root, repo)
             continue
         for dirpath, dirnames, filenames in os.walk(root):
             dirnames.sort()
             for name in sorted(filenames):
                 if name.endswith(SOURCE_EXTS):
                     _add_source(out, os.path.join(dirpath, name),
-                                src_root)
+                                src_root, repo)
     return out
 
 
-def _add_source(out: Dict[str, str], abs_path: str,
-                src_root: str) -> None:
+def _add_source(out: Dict[str, str], abs_path: str, src_root: str,
+                repo: str) -> None:
     rel = os.path.relpath(abs_path, src_root)
     if rel.startswith(".."):
-        rel = os.path.basename(abs_path)
+        rel = os.path.relpath(abs_path, repo)
     out[rel.replace(os.sep, "/")] = abs_path
 
 
-def _read_contents(sources: Dict[str, str]) -> Dict[str, bytes]:
-    contents: Dict[str, bytes] = {}
+def _parse_sources(sources: Dict[str, str]) -> ProjectFacts:
+    project = ProjectFacts()
     for rel, abs_path in sources.items():
         try:
             with open(abs_path, "rb") as f:
-                contents[rel] = f.read()
+                content = f.read()
         except OSError as e:
             print(f"frugal_analyze: cannot read {abs_path}: {e}",
                   file=sys.stderr)
-    return contents
-
-
-def _analyze_internal(contents: Dict[str, bytes],
-                      cache: FactsCache) -> ProjectFacts:
-    salts = include_closure_salts(contents)
-    project = ProjectFacts()
-    for rel, content in contents.items():
-        facts = cache.get(content, salt=salts[rel])
-        if facts is None or facts.path != rel:
-            facts = parse_file(rel, content.decode("utf-8",
-                                                   errors="replace"))
-            cache.put(content, facts, salt=salts[rel])
-        project.files[rel] = facts
+            continue
+        project.files[rel] = parse_file(
+            rel, content.decode("utf-8", errors="replace"))
     return project
 
 
@@ -178,55 +157,6 @@ def _sarif_doc(diags: List[Diagnostic]) -> dict:
     }
 
 
-def _analyze_clang(sources: Dict[str, str], cache: FactsCache,
-                   compile_commands: str, src_root: str,
-                   quiet: bool) -> Optional[ProjectFacts]:
-    clangxx = frontend_clang.clang_available()
-    if clangxx is None or not os.path.isfile(compile_commands):
-        return None
-    try:
-        entries = frontend_clang.load_compile_commands(compile_commands)
-    except (OSError, ValueError) as e:
-        print(f"frugal_analyze: bad compile_commands.json: {e}",
-              file=sys.stderr)
-        return None
-    abs_to_rel = {os.path.realpath(a): r for r, a in sources.items()}
-
-    def want(path: str) -> Optional[str]:
-        return abs_to_rel.get(os.path.realpath(path))
-
-    merged: Dict[str, FileFacts] = {}
-    for entry in entries:
-        tu = os.path.realpath(os.path.join(entry.get("directory", "."),
-                                           entry.get("file", "")))
-        if want(tu) is None:
-            continue
-        ast = frontend_clang.dump_tu(entry, clangxx)
-        if ast is None:
-            if not quiet:
-                print(f"frugal_analyze: clang dump failed for "
-                      f"{entry.get('file')}; skipping TU",
-                      file=sys.stderr)
-            continue
-        for rel, facts in frontend_clang.collect_from_ast(ast,
-                                                          want).items():
-            merged.setdefault(rel, facts)
-    project = ProjectFacts()
-    for rel, abs_path in sources.items():
-        try:
-            text = open(abs_path, encoding="utf-8",
-                        errors="replace").read()
-        except OSError:
-            continue
-        if rel in merged:
-            project.files[rel] = frontend_clang.merge_lexer_facts(
-                merged[rel], rel, text)
-        else:
-            # header never reached by any TU in the DB: lexer fallback
-            project.files[rel] = parse_file(rel, text)
-    return project
-
-
 def main(argv: List[str]) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
@@ -248,45 +178,8 @@ def main(argv: List[str]) -> int:
     repo = _repo_root()
     src_root = os.path.abspath(args.src_root or
                                os.path.join(repo, "src"))
-    compile_commands = args.compile_commands or \
-        os.path.join(repo, "build", "compile_commands.json")
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or os.path.join(repo, "build", ".analyze-cache"))
     baseline_path = args.baseline or os.path.join(
         repo, "scripts", "frugal_analyze", "baseline.txt")
-
-    sources = collect_sources(args.paths, src_root)
-    if not sources:
-        print("frugal_analyze: no sources found", file=sys.stderr)
-        return 2
-
-    frontend = args.frontend
-    project = None
-    summary_cache = None
-    if frontend in ("auto", "clang"):
-        cache = FactsCache(cache_dir, "clang")
-        project = _analyze_clang(sources, cache, compile_commands,
-                                 src_root, args.quiet)
-        if project is None:
-            if frontend == "clang":
-                print("frugal_analyze: --frontend clang requires "
-                      "clang++ and compile_commands.json "
-                      f"({compile_commands})", file=sys.stderr)
-                return 2
-            if not args.quiet:
-                print("frugal_analyze: clang++ or compile_commands.json "
-                      "unavailable; using the internal frontend",
-                      file=sys.stderr)
-            frontend = "internal"
-        else:
-            frontend = "clang"
-    if project is None:
-        cache = FactsCache(cache_dir, "internal")
-        contents = _read_contents(sources)
-        project = _analyze_internal(contents, cache)
-        if cache.dir:
-            summary_cache = (cache,
-                             project_digest("internal", contents))
 
     checks = tuple(c.strip() for c in args.checks.split(",")) \
         if args.checks else CHECK_IDS
@@ -295,12 +188,15 @@ def main(argv: List[str]) -> int:
         print(f"frugal_analyze: unknown checks: "
               f"{', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    cfg = CheckConfig(window=args.window,
-                      hot=tuple(args.hot) if args.hot else HOT_FUNCTIONS,
+    sources = collect_sources(args.paths, src_root, repo)
+    if not sources:
+        print("frugal_analyze: no sources found", file=sys.stderr)
+        return 2
+
+    cfg = CheckConfig(hot=tuple(args.hot) if args.hot else HOT_FUNCTIONS,
                       checks=checks)
     stats: Dict[str, int] = {}
-    diags = run_checks(project, cfg, stats_out=stats,
-                       summary_cache=summary_cache)
+    diags = run_checks(_parse_sources(sources), cfg, stats_out=stats)
     errors = [d for d in diags if d.severity != "info"]
     infos = [d for d in diags if d.severity == "info"]
 
@@ -334,10 +230,6 @@ def main(argv: List[str]) -> int:
         for key in stale:
             print(f"frugal_analyze: stale baseline entry: {key}",
                   file=sys.stderr)
-    if args.stats:
-        print(f"frugal_analyze: {len(sources)} files, frontend="
-              f"{frontend}, cache hits={cache.hits} "
-              f"misses={cache.misses}", file=sys.stderr)
     if args.verbose:
         counts = " ".join(f"{k}={stats.get(k, 0)}"
                           for k in RESOLUTION_KINDS)

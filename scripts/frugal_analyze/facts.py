@@ -1,15 +1,14 @@
-"""The facts model shared by both frontends.
+"""The facts model between the frontend and the checks.
 
-A frontend reduces one source file to a `FileFacts`: include edges,
-class/member structure, function bodies as guard/call/alloc sites, and
-atomics uses. Checks run over the assembled `ProjectFacts`, never over
-raw text — that is what keeps the clang and internal frontends
-interchangeable, and what the incremental cache serializes.
+The frontend (frontend_internal.py) reduces one source file to a
+`FileFacts`: include edges, class/member structure, function bodies as
+guard/call/alloc sites, and atomics uses. Checks run over the assembled
+`ProjectFacts`, never over raw text.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
@@ -70,7 +69,7 @@ class BlockingSite:
     Higher-level blocking operations (GateSignal::WaitFor, Mutex
     acquisition, RetryWithBackoff) are *not* recorded here — they reach
     the checks transitively through call-graph summaries, which keeps
-    the primitive vocabulary tiny and both frontends in agreement."""
+    the primitive vocabulary tiny."""
 
     line: int
     what: str                      # "cv-wait" | "sleep" | "file-io"
@@ -131,50 +130,11 @@ class FileFacts:
     sleep_lines: List[int] = field(default_factory=list)
     cmpxchg: List[CmpxchgSite] = field(default_factory=list)
     atomic_ops: List[AtomicOpSite] = field(default_factory=list)
-    # tag -> lines carrying it (copied from the lexer so cached facts
-    # stay self-contained)
+    # tag -> lines carrying it (copied from the lexer)
     tag_lines: Dict[str, List[int]] = field(default_factory=dict)
     # LockRank picks seen in ctor init lists, possibly for classes
     # declared in *another* file: class -> member -> rank name
     ctor_ranks: Dict[str, Dict[str, str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "FileFacts":
-        ff = FileFacts(path=d["path"])
-        ff.includes = [list(e) for e in d.get("includes", [])]
-        for c in d.get("classes", []):
-            cf = ClassFacts(name=c["name"], line=c["line"])
-            cf.members = [Member(**m) for m in c.get("members", [])]
-            cf.ctor_ranks = dict(c.get("ctor_ranks", {}))
-            cf.returns_lock = dict(c.get("returns_lock", {}))
-            ff.classes.append(cf)
-        for f in d.get("functions", []):
-            fn = FunctionFacts(name=f["name"], cls=f.get("cls", ""),
-                               line=f.get("line", 0))
-            fn.guards = list(f.get("guards", []))
-            fn.guard_lines = list(f.get("guard_lines", []))
-            fn.nests = [GuardNest(**n) for n in f.get("nests", [])]
-            fn.calls = [CallSite(**cs) for cs in f.get("calls", [])]
-            fn.allocs = [AllocSite(**a) for a in f.get("allocs", [])]
-            fn.blocking = [BlockingSite(**b)
-                           for b in f.get("blocking", [])]
-            fn.params = dict(f.get("params", {}))
-            fn.locals = dict(f.get("locals", {}))
-            ff.functions.append(fn)
-        ff.relaxed_lines = list(d.get("relaxed_lines", []))
-        ff.raw_atomic_lines = list(d.get("raw_atomic_lines", []))
-        ff.sleep_lines = list(d.get("sleep_lines", []))
-        ff.cmpxchg = [CmpxchgSite(**c) for c in d.get("cmpxchg", [])]
-        ff.atomic_ops = [AtomicOpSite(**a)
-                         for a in d.get("atomic_ops", [])]
-        ff.tag_lines = {k: list(v) for k, v in d.get("tag_lines",
-                                                     {}).items()}
-        ff.ctor_ranks = {k: dict(v)
-                         for k, v in d.get("ctor_ranks", {}).items()}
-        return ff
 
     def has_tag_near(self, line: int, tag: str, window: int = 1) -> bool:
         hits = self.tag_lines.get(tag)
@@ -225,15 +185,3 @@ class FunctionSummary:
     ranks: Dict[str, Trace] = field(default_factory=dict)
     blocking: Dict[str, Trace] = field(default_factory=dict)
     allocs: Dict[str, Trace] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "FunctionSummary":
-        s = FunctionSummary()
-        for attr in ("ranks", "blocking", "allocs"):
-            got = d.get(attr, {})
-            setattr(s, attr, {k: [list(hop) for hop in trace]
-                              for k, trace in got.items()})
-        return s

@@ -44,6 +44,10 @@ class SourceFile:
 
 
 _CONTINUATION = re.compile(r"\\\s*$")
+# The tail of a pp-number ending right before a quote: that quote is a
+# C++14 digit separator (`2'000'000`), not the start of a char literal.
+# `u8'x'` / `L'x'` prefixes start with a letter, so they never match.
+_NUMBER_TAIL = re.compile(r"(?<![\w.'])\.?\d[\w.']*$")
 
 
 def lex(path: str, text: str) -> SourceFile:
@@ -102,7 +106,8 @@ def lex(path: str, text: str) -> SourceFile:
                 i += 1
                 continue
             if ch == "'":
-                state = "char"
+                if not _NUMBER_TAIL.search(text, max(0, i - 64), i):
+                    state = "char"
                 emit_code("'")
                 i += 1
                 continue

@@ -126,5 +126,5 @@ HOT_FUNCTIONS = (
 
 
 # Directories (src-root-relative) whose raw std::atomic declarations must
-# be model_atomic or carry `modelcheck-exempt:` (mirrors lint_atomics).
+# be model_atomic or carry `modelcheck-exempt:` (check `atomics-raw`).
 MODEL_CHECKED_DIRS = ("pq", "common")

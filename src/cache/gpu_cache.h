@@ -358,13 +358,6 @@ class GpuCache
         return stats_;
     }
 
-    void
-    ResetStats()
-    {
-        SpinGuard guard(lock_);
-        stats_ = GpuCacheStats{};
-    }
-
   private:
     /** Slot index sentinel (list end / no free slot). */
     static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;

@@ -53,21 +53,4 @@ OverloadTable(const OverloadCounters &c, const std::string &caption)
     return table;
 }
 
-TablePrinter
-PrefetchTable(const PrefetchCounters &c, const std::string &caption)
-{
-    TablePrinter table(caption, {"metric", "value"});
-    table.AddRow({"rows warmed",
-                  FormatCount(static_cast<double>(c.rows_warmed))});
-    table.AddRow({"warm hits",
-                  FormatCount(static_cast<double>(c.warm_hits))});
-    table.AddRow({"dead evictions",
-                  FormatCount(static_cast<double>(c.dead_evictions))});
-    table.AddRow({"late warms",
-                  FormatCount(static_cast<double>(c.late_warms))});
-    table.AddRow({"warms shed",
-                  FormatCount(static_cast<double>(c.warms_shed))});
-    return table;
-}
-
 }  // namespace frugal

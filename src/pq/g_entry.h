@@ -179,7 +179,6 @@ class GEntry
 
     bool hasWritesLocked() const FRUGAL_REQUIRES(lock_) { return !w_set_.empty(); }
     bool hasReadsLocked() const FRUGAL_REQUIRES(lock_) { return !r_set_.empty(); }
-    std::size_t writeCountLocked() const FRUGAL_REQUIRES(lock_) { return w_set_.size(); }
     std::size_t readCountLocked() const FRUGAL_REQUIRES(lock_) { return r_set_.size(); }
 
     /** Earliest pending read, or kInfiniteStep. */

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Test driver for scripts/frugal_analyze (ctest label: analyze).
 
-Seven suites:
+Six suites:
 
 1. Fixture TUs under tests/analyze/fixtures/: one known-bad snippet per
    check plus all-clean trees. Expected findings are written *in* the
@@ -14,17 +14,14 @@ Seven suites:
    pairing, and recursion cycles the fixpoint must survive.
 2. Call-path notes: the deep findings must carry the full chain as
    `note:` continuation lines down to the bottom frame.
-3. A synthetic clang -ast-dump=json walk through
-   frontend_clang.collect_from_ast — the clang frontend's extraction is
-   unit-tested even on hosts without clang++ (this repo's CI container),
-   and the extracted facts are pushed through run_checks end to end.
-4. The LOCK_RANKS table in frugal_analyze.project cross-checked against
+3. The LOCK_RANKS table in frugal_analyze.project cross-checked against
    the enumerators in src/common/lock_rank.h.
-5. Incremental-cache invalidation: mutating a header re-extracts every
-   file whose quoted-include closure contains it, not just the header.
-6. `--format=sarif` emits valid SARIF 2.1.0 with one result per finding.
-7. The scripts/lint_atomics.py shim: fires on the bad fixtures, stays
-   quiet on the clean tree, and keeps its CLI exit semantics.
+4. `--format=sarif` emits valid SARIF 2.1.0 with one result per finding.
+5. `--checks atomics-relaxed` over files outside src/ given by path (how
+   check.sh lints tests/, bench/ and examples/): a bad file fails, a
+   clean one passes, two files sharing a basename are both analyzed,
+   and a digit separator (`10'000`) hides nothing after it.
+6. CLI surface: --explain and --list-checks.
 """
 
 import json
@@ -39,12 +36,11 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(TESTS))
 SCRIPTS = os.path.join(REPO, "scripts")
 FIXTURES = os.path.join(TESTS, "fixtures")
+ANALYZER = os.path.join(SCRIPTS, "frugal_analyze")
 
 sys.path.insert(0, SCRIPTS)
 
-from frugal_analyze.checks import CHECK_IDS, CheckConfig, run_checks  # noqa: E402
-from frugal_analyze.facts import ProjectFacts  # noqa: E402
-from frugal_analyze import frontend_clang  # noqa: E402
+from frugal_analyze.checks import CHECK_IDS  # noqa: E402
 from frugal_analyze.project import LOCK_RANKS  # noqa: E402
 
 EXPECT_RE = re.compile(r"EXPECT:([\w-]+)")
@@ -75,8 +71,7 @@ def expected_findings(root):
 
 
 def run_analyzer(src_root, *extra):
-    cmd = [sys.executable, os.path.join(SCRIPTS, "frugal_analyze"),
-           "--frontend", "internal", "--no-cache", "--no-baseline",
+    cmd = [sys.executable, ANALYZER, "--no-baseline",
            "--src-root", src_root, src_root, *extra]
     return subprocess.run(cmd, capture_output=True, text=True)
 
@@ -136,53 +131,6 @@ def test_deep_call_path():
           in out, "atomic-publish names the mispaired reader")
 
 
-def _run_cached(src_root, cache_dir):
-    cmd = [sys.executable, os.path.join(SCRIPTS, "frugal_analyze"),
-           "--frontend", "internal", "--no-baseline", "--stats",
-           "--cache-dir", cache_dir, "--src-root", src_root, src_root]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    m = re.search(r"cache hits=(\d+) misses=(\d+)", proc.stderr)
-    return proc, (int(m.group(1)), int(m.group(2))) if m else None
-
-
-def test_cache_invalidation():
-    """Editing a header must re-extract every includer (the cache key
-    folds in the quoted-include closure, not just the file's bytes)."""
-    print("== incremental-cache include-closure invalidation ==")
-    tmp = tempfile.mkdtemp(prefix="frugal_analyze_cache_")
-    try:
-        src = os.path.join(tmp, "src")
-        cache = os.path.join(tmp, "cache")
-        os.makedirs(os.path.join(src, "common"))
-        os.makedirs(os.path.join(src, "pq"))
-        header = os.path.join(src, "common", "dep_header.h")
-        with open(header, "w", encoding="utf-8") as f:
-            f.write("namespace frugal {\n"
-                    "inline unsigned DepHelper(unsigned n)\n"
-                    "{\n    return n + 1;\n}\n"
-                    "}  // namespace frugal\n")
-        with open(os.path.join(src, "pq", "user.cc"), "w",
-                  encoding="utf-8") as f:
-            f.write('#include "common/dep_header.h"\n\n'
-                    "namespace frugal {\n"
-                    "inline unsigned UseDep(unsigned n)\n"
-                    "{\n    return DepHelper(n);\n}\n"
-                    "}  // namespace frugal\n")
-        _, s1 = _run_cached(src, cache)
-        check(s1 == (0, 2), f"cold run extracts both files {s1}")
-        _, s2 = _run_cached(src, cache)
-        check(s2 == (2, 0), f"warm run hits both files {s2}")
-        with open(header, "a", encoding="utf-8") as f:
-            f.write("// comment edit invalidating the closure\n")
-        _, s3 = _run_cached(src, cache)
-        check(s3 == (0, 2),
-              f"header edit re-extracts header AND includer {s3}")
-        _, s4 = _run_cached(src, cache)
-        check(s4 == (2, 0), f"stable again after the edit {s4}")
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
 def test_sarif_output():
     print("== SARIF output ==")
     src = os.path.join(FIXTURES, "bad", "src")
@@ -211,149 +159,6 @@ def test_sarif_output():
           "results carry ruleIds and stable fingerprints")
 
 
-# A hand-written miniature of `clang++ -Xclang -ast-dump=json` output:
-# one record with a ranked lock pair, a guarded member, an unguarded
-# member, and a method whose body nests guards in inverted order, calls
-# compare_exchange with a forbidden failure order, uses a relaxed load,
-# allocates with `new`, release-stores an atomic member nobody loads,
-# and waits on a CV while both guards are still active.
-_FIXTURE_TU = "/ast/pq/fixture.cc"
-_AST = {
-    "kind": "TranslationUnitDecl",
-    "inner": [{
-        "kind": "CXXRecordDecl", "name": "AstFixture",
-        "completeDefinition": True,
-        "loc": {"file": _FIXTURE_TU, "line": 3},
-        "inner": [
-            {"kind": "FieldDecl", "name": "row_lock_",
-             "loc": {"line": 4},
-             "type": {"qualType": "frugal::Spinlock"},
-             "inner": [{"kind": "CXXConstructExpr", "inner": [
-                 {"kind": "DeclRefExpr",
-                  "referencedDecl": {"name": "kTableRow"}}]}]},
-            {"kind": "FieldDecl", "name": "lock_",
-             "loc": {"line": 5},
-             "type": {"qualType": "frugal::Spinlock"},
-             "inner": [{"kind": "CXXConstructExpr", "inner": [
-                 {"kind": "DeclRefExpr",
-                  "referencedDecl": {"name": "kGEntry"}}]}]},
-            {"kind": "FieldDecl", "name": "pending_",
-             "loc": {"line": 6},
-             "type": {"qualType": "unsigned int"},
-             "inner": [{"kind": "GuardedByAttr", "inner": [
-                 {"kind": "MemberExpr", "name": "lock_"}]}]},
-            {"kind": "FieldDecl", "name": "bare_",
-             "loc": {"line": 7},
-             "type": {"qualType": "int"}},
-            {"kind": "CXXMethodDecl", "name": "Bad",
-             "loc": {"line": 8},
-             "inner": [{"kind": "CompoundStmt", "inner": [
-                 {"kind": "DeclStmt", "inner": [
-                     {"kind": "VarDecl", "name": "g1",
-                      "loc": {"line": 9},
-                      "type": {"qualType": "frugal::SpinGuard"},
-                      "inner": [{"kind": "DeclRefExpr",
-                                 "referencedDecl":
-                                     {"name": "row_lock_"}}]}]},
-                 {"kind": "DeclStmt", "inner": [
-                     {"kind": "VarDecl", "name": "g2",
-                      "loc": {"line": 10},
-                      "type": {"qualType": "frugal::SpinGuard"},
-                      "inner": [{"kind": "MemberExpr",
-                                 "name": "lock_"}]}]},
-                 {"kind": "CXXNewExpr",
-                  "range": {"begin": {"line": 11}}},
-                 {"kind": "DeclRefExpr", "loc": {"line": 12},
-                  "referencedDecl": {"name": "memory_order_relaxed"}},
-                 {"kind": "CXXMemberCallExpr",
-                  "range": {"begin": {"line": 13}},
-                  "inner": [
-                      {"kind": "MemberExpr",
-                       "name": "compare_exchange_strong"},
-                      {"kind": "DeclRefExpr",
-                       "referencedDecl":
-                           {"name": "memory_order_acq_rel"}},
-                      {"kind": "DeclRefExpr",
-                       "referencedDecl":
-                           {"name": "memory_order_release"}}]},
-                 {"kind": "CXXMemberCallExpr",
-                  "range": {"begin": {"line": 15}},
-                  "inner": [
-                      {"kind": "MemberExpr", "name": "store",
-                       "inner": [
-                           {"kind": "MemberExpr", "name": "ready_",
-                            "inner": [{"kind": "CXXThisExpr"}]}]},
-                      {"kind": "DeclRefExpr",
-                       "referencedDecl":
-                           {"name": "memory_order_release"}}]},
-                 {"kind": "CXXMemberCallExpr",
-                  "range": {"begin": {"line": 16}},
-                  "inner": [
-                      {"kind": "MemberExpr", "name": "wait",
-                       "inner": [
-                           {"kind": "MemberExpr", "name": "cv_",
-                            "inner": [{"kind": "CXXThisExpr"}]}]}]},
-             ]}]},
-            {"kind": "FieldDecl", "name": "ready_",
-             "loc": {"line": 14},
-             "type": {"qualType": "std::atomic<int>"}},
-        ],
-    }],
-}
-
-
-def test_clang_ast_walk():
-    print("== synthetic clang AST walk ==")
-    rel = "pq/fixture.cc"
-    files = frontend_clang.collect_from_ast(
-        _AST, lambda p: rel if p == _FIXTURE_TU else None)
-    check(rel in files, "TU mapped through want_file()")
-    ff = files[rel]
-    members = {m.name: m for m in ff.classes[0].members} \
-        if ff.classes else {}
-    check(members.get("lock_") is not None and
-          members["lock_"].lock_type == "Spinlock" and
-          members["lock_"].lock_rank == "kGEntry",
-          "FieldDecl -> lock member with ctor rank")
-    check(members.get("pending_") is not None and
-          members["pending_"].guarded_by == "lock_",
-          "GuardedByAttr -> guarded_by")
-    fns = [fn for fn in ff.functions if fn.name == "Bad"]
-    check(bool(fns), "CXXMethodDecl with body -> FunctionFacts")
-    fn = fns[0] if fns else None
-    check(fn is not None and len(fn.nests) == 1 and
-          fn.nests[0].inner == "lock_" and
-          fn.nests[0].outers == ["row_lock_"] and
-          fn.nests[0].line == 10,
-          "guard VarDecls -> nested guard scopes")
-    check(fn is not None and
-          any(a.what == "new" and a.line == 11 for a in fn.allocs),
-          "CXXNewExpr -> alloc site")
-    check(ff.relaxed_lines == [12], "relaxed DeclRefExpr -> relaxed line")
-    check(len(ff.cmpxchg) == 1 and ff.cmpxchg[0].success == "acq_rel" and
-          ff.cmpxchg[0].failure == "release" and
-          ff.cmpxchg[0].line == 13,
-          "compare_exchange orders extracted")
-    check(fn is not None and
-          any(s.op == "store" and s.member == "ready_" and
-              s.owner == "AstFixture" and s.order == "release" and
-              s.line == 15 for s in ff.atomic_ops),
-          "atomic member store -> AtomicOpSite with owner and order")
-    check(fn is not None and
-          any(b.what == "cv-wait" and b.line == 16 and
-              "row_lock_" in b.held for b in fn.blocking),
-          "CV wait -> BlockingSite with the active guards held")
-
-    # The AST-sourced facts must drive the same checks end to end.
-    project = ProjectFacts()
-    project.files[rel] = ff
-    got = {(d.check, d.line) for d in run_checks(project, CheckConfig())}
-    for want in (("lock-rank", 10), ("tsa-coverage", 7),
-                 ("atomics-relaxed", 12), ("atomics-cmpxchg", 13),
-                 ("atomic-publish", 15), ("spin-blocking", 16)):
-        check(want in got, f"run_checks on AST facts reports {want}")
-
-
 def test_lock_ranks_in_sync():
     print("== LOCK_RANKS vs src/common/lock_rank.h ==")
     path = os.path.join(REPO, "src", "common", "lock_rank.h")
@@ -366,43 +171,76 @@ def test_lock_ranks_in_sync():
           "no enumerator missing from either side")
 
 
-def test_lint_atomics_shim():
-    print("== lint_atomics shim ==")
-    shim = os.path.join(SCRIPTS, "lint_atomics.py")
-    bad_pq = os.path.join(FIXTURES, "bad", "src", "pq")
-    # Directory walks deliberately skip the fixture corpus (check.sh
-    # lints `tests`); explicit file arguments bypass the skip.
-    bad = subprocess.run(
-        [sys.executable, shim,
-         os.path.join(bad_pq, "unjustified_relaxed.cc"),
-         os.path.join(bad_pq, "raw_atomic.h")],
-        capture_output=True, text=True)
-    check(bad.returncode == 1, "bad fixture files: exit 1")
-    check("[relaxed]" in bad.stderr and "[raw-atomic]" in bad.stderr,
-          "bad fixture files: both legacy rule names fire")
-    skipped = subprocess.run(
-        [sys.executable, shim, os.path.join(FIXTURES, "bad")],
-        capture_output=True, text=True)
-    check(skipped.returncode == 0,
-          "fixture corpus skipped on directory walks")
-    clean = subprocess.run(
-        [sys.executable, shim,
-         os.path.join(FIXTURES, "clean", "src", "pq", "all_clean.cc")],
-        capture_output=True, text=True)
-    check(clean.returncode == 0, "clean fixture file: exit 0")
+def run_relaxed(*paths):
+    """The analyzer as check.sh runs it over tests/, bench/, examples/."""
+    return subprocess.run([sys.executable, ANALYZER, "--no-baseline",
+                           "--checks", "atomics-relaxed", *paths],
+                          capture_output=True, text=True)
+
+
+def repo_key(path):
+    return os.path.relpath(path, REPO).replace(os.sep, "/")
+
+
+def test_relaxed_outside_src():
+    print("== atomics-relaxed over files outside src/ ==")
+    bad = os.path.join(FIXTURES, "bad", "src", "pq",
+                       "unjustified_relaxed.cc")
+    proc = run_relaxed(bad)
+    check(proc.returncode == 1, "unjustified relaxed load: exit 1")
+    check(parse_findings(proc.stdout) ==
+          {(repo_key(bad), 8, "atomics-relaxed")},
+          "finding keyed by the repo-relative path")
+    clean = os.path.join(FIXTURES, "clean", "src", "pq", "all_clean.cc")
+    check(run_relaxed(clean).returncode == 0, "clean fixture: exit 0")
+
+    tmp = tempfile.mkdtemp(prefix="frugal_analyze_outside_")
+    try:
+        def write(rel, text):
+            path = os.path.join(tmp, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            return path
+
+        def peek(order):
+            return ("#include <atomic>\n"
+                    "inline int Peek(const std::atomic<int> &v) "
+                    f"{{ return v.load(std::memory_order_{order}); }}\n")
+
+        # Files outside --src-root that share a basename stay distinct.
+        pair = [write("a/util.h", peek("relaxed")),
+                write("b/util.h", peek("acquire"))]
+        want = {(repo_key(pair[0]), 2, "atomics-relaxed")}
+        for label, paths in (("a b", pair), ("b a", pair[::-1])):
+            proc = run_relaxed(*paths)
+            check(proc.returncode == 1 and
+                  parse_findings(proc.stdout) == want,
+                  f"same-basename files, order {label}: a/util.h:2 "
+                  f"reported")
+
+        # A C++14 digit separator opens no char literal, so the lines
+        # after it stay visible.
+        sep = write("sep.cc", "constexpr int kLimit = 10'000;\n" +
+                    peek("relaxed"))
+        proc = run_relaxed(sep)
+        check(parse_findings(proc.stdout) ==
+              {(repo_key(sep), 3, "atomics-relaxed")},
+              "relaxed load after a digit separator reported")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def test_cli_surface():
     print("== CLI surface ==")
-    analyzer = os.path.join(SCRIPTS, "frugal_analyze")
-    ex = subprocess.run([sys.executable, analyzer, "--explain",
+    ex = subprocess.run([sys.executable, ANALYZER, "--explain",
                          "lock-rank"], capture_output=True, text=True)
     check(ex.returncode == 0 and "lock-rank" in ex.stdout,
           "--explain lock-rank")
-    bogus = subprocess.run([sys.executable, analyzer, "--explain",
+    bogus = subprocess.run([sys.executable, ANALYZER, "--explain",
                             "bogus"], capture_output=True, text=True)
     check(bogus.returncode == 2, "--explain bogus exits 2 (usage)")
-    ls = subprocess.run([sys.executable, analyzer, "--list-checks"],
+    ls = subprocess.run([sys.executable, ANALYZER, "--list-checks"],
                         capture_output=True, text=True)
     check(ls.returncode == 0 and
           all(cid in ls.stdout for cid in CHECK_IDS),
@@ -412,11 +250,9 @@ def test_cli_surface():
 def main():
     test_fixtures()
     test_deep_call_path()
-    test_clang_ast_walk()
     test_lock_ranks_in_sync()
-    test_cache_invalidation()
     test_sarif_output()
-    test_lint_atomics_shim()
+    test_relaxed_outside_src()
     test_cli_surface()
     if failures:
         print(f"\n{len(failures)} analyze subtest(s) FAILED")
