@@ -252,13 +252,15 @@ if ! ctest --preset tsan; then
     failures=$((failures + 1))
 fi
 
-# --- 6. AddressSanitizer pass over the fault-tolerance suites -----------
+# --- 6. AddressSanitizer pass over the fault-tolerance and kernel suites -
 # Recovery paths (claim reclamation, flusher respawn, checkpoint staging)
-# juggle raw buffers and thread lifetimes; run them under ASan too.
-note "ASan build + ctest -L faulttol (preset: asan)"
+# juggle raw buffers and thread lifetimes, and the SIMD kernels (row
+# kernels, batched MLP) index raw buffers in fixed-width blocks with
+# tails; run them under ASan too.
+note "ASan build + ctest -L 'faulttol|kernels' (preset: asan)"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$(nproc)"
-if ! ctest --preset asan -L faulttol; then
+if ! ctest --preset asan -L 'faulttol|kernels'; then
     failures=$((failures + 1))
 fi
 

@@ -122,6 +122,18 @@ HOT_FUNCTIONS = (
     "AxpyBody",
     "SgdBody",
     "AdagradBody",
+    # Batched MLP (models/mlp.cc, DESIGN.md §8): the DLRM grad callback,
+    # the block forward/backward and its kernels, and the step hook's
+    # fused all-reduce. Their scratch is sized at construction.
+    "DlrmModel::TrainSubBatch",
+    "Mlp::TrainBatch",
+    "Mlp::TrainBlock",
+    "Mlp::ForwardBlock",
+    "Mlp::PredictBatch",
+    "ForwardLayer",
+    "BackwardInputs",
+    "AccumulateGradients",
+    "ReplicatedMlp::AllReduceAndStep",
 )
 
 

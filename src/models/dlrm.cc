@@ -1,5 +1,6 @@
 #include "models/dlrm.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -59,53 +60,76 @@ DlrmModel::DlrmModel(const DlrmConfig &config)
               return mlp_config;
           }(),
           config.n_gpus),
-      loss_accum_(config.n_gpus, 0.0),
-      examples_(config.n_gpus, 0)
+      slots_(config.n_gpus)
 {
     FRUGAL_CHECK(config.n_features > 0);
+    const std::size_t input =
+        static_cast<std::size_t>(config.n_features) * config.dim;
+    for (auto &slot : slots_) {
+        slot->x.assign(Mlp::kLanes * input, 0.0f);
+        slot->grad_x.assign(Mlp::kLanes * input, 0.0f);
+    }
 }
 
 GradFn
 DlrmModel::BindGradFn(const DlrmWorkload &workload)
 {
-    return [this, &workload](GpuId gpu, Step step,
-                             const std::vector<Key> &keys,
+    return [this, &workload](GpuId gpu, Step step, const std::vector<Key> &,
                              const std::vector<float> &values,
                              std::vector<float> *grads) {
-        const std::size_t dim = config_.dim;
-        const std::size_t input = config_.n_features * dim;
-        const auto &samples = workload.samples[step][gpu];
-        const auto &indices = workload.key_idx[step][gpu];
-        Mlp &mlp = mlp_.replica(gpu);
-        std::vector<float> x(input);
-        std::vector<float> gx(input);
-        for (std::size_t i = 0; i < samples.size(); ++i) {
+        TrainSubBatch(workload, gpu, step, values, grads);
+    };
+}
+
+void
+DlrmModel::TrainSubBatch(const DlrmWorkload &workload, GpuId gpu,
+                         Step step, const std::vector<float> &values,
+                         std::vector<float> *grads)
+{
+    const std::size_t dim = config_.dim;
+    const std::size_t input = config_.n_features * dim;
+    const auto &samples = workload.samples[step][gpu];
+    const auto &indices = workload.key_idx[step][gpu];
+    Mlp &mlp = mlp_.replica(gpu);
+    ReplicaSlot &slot = *slots_[gpu];
+    float *x = slot.x.data();
+    float *gx = slot.grad_x.data();
+    float labels[Mlp::kLanes] = {};
+    float losses[Mlp::kLanes] = {};
+    // Folded locally in example order; the slot is written once a call.
+    double loss_accum = slot.loss_accum;
+    for (std::size_t first = 0; first < samples.size();
+         first += Mlp::kLanes) {
+        const std::size_t n = std::min(Mlp::kLanes, samples.size() - first);
+        for (std::size_t e = 0; e < n; ++e) {
             // Assemble the concatenated embedding input.
-            for (std::size_t f = 0; f < indices[i].size(); ++f) {
+            const auto &fields = indices[first + e];
+            for (std::size_t f = 0; f < fields.size(); ++f) {
                 const float *src =
-                    values.data() +
-                    static_cast<std::size_t>(indices[i][f]) * dim;
-                float *dst = x.data() + f * dim;
+                    values.data() + static_cast<std::size_t>(fields[f]) * dim;
+                float *dst = x + e * input + f * dim;
                 for (std::size_t j = 0; j < dim; ++j)
                     dst[j] = src[j];
             }
-            gx.assign(input, 0.0f);
-            const float loss =
-                mlp.TrainExample(x.data(), samples[i].label, gx.data());
-            loss_accum_[gpu] += loss;
-            examples_[gpu] += 1;
+            labels[e] = samples[first + e].label;
+        }
+        std::fill(gx, gx + n * input, 0.0f);
+        mlp.TrainBatch(x, labels, n, gx, losses);
+        for (std::size_t e = 0; e < n; ++e) {
+            loss_accum += losses[e];
             // Scatter dL/dx back onto the (deduplicated) key gradients.
-            for (std::size_t f = 0; f < indices[i].size(); ++f) {
-                const float *src = gx.data() + f * dim;
-                float *dst =
-                    grads->data() +
-                    static_cast<std::size_t>(indices[i][f]) * dim;
+            const auto &fields = indices[first + e];
+            for (std::size_t f = 0; f < fields.size(); ++f) {
+                const float *src = gx + e * input + f * dim;
+                float *dst = grads->data() +
+                             static_cast<std::size_t>(fields[f]) * dim;
                 for (std::size_t j = 0; j < dim; ++j)
                     dst[j] += src[j];
             }
         }
-        (void)keys;
-    };
+    }
+    slot.loss_accum = loss_accum;
+    slot.examples += samples.size();
 }
 
 StepHook
@@ -114,11 +138,11 @@ DlrmModel::BindStepHook()
     return [this](Step) {
         std::size_t total_examples = 0;
         double total_loss = 0.0;
-        for (std::uint32_t g = 0; g < config_.n_gpus; ++g) {
-            total_examples += examples_[g];
-            total_loss += loss_accum_[g];
-            examples_[g] = 0;
-            loss_accum_[g] = 0.0;
+        for (auto &slot : slots_) {
+            total_examples += slot->examples;
+            total_loss += slot->loss_accum;
+            slot->examples = 0;
+            slot->loss_accum = 0.0;
         }
         mlp_.AllReduceAndStep(total_examples);
         losses_.push_back(total_examples == 0
@@ -155,17 +179,18 @@ DlrmModel::EvaluateAuc(const HostEmbeddingTable &table,
     const std::size_t dim = config_.dim;
     const std::size_t input = config_.n_features * dim;
     Mlp &mlp = mlp_.replica(0);
-    std::vector<float> x(input);
-    std::vector<float> scores;
-    std::vector<float> labels;
-    scores.reserve(n_samples);
-    labels.reserve(n_samples);
-    for (std::size_t i = 0; i < n_samples; ++i) {
-        const RecSample sample = gen.Next();
-        for (std::size_t f = 0; f < sample.keys.size(); ++f)
-            table.ReadRow(sample.keys[f], x.data() + f * dim);
-        scores.push_back(mlp.Predict(x.data()));
-        labels.push_back(sample.label);
+    float *x = slots_[0]->x.data();
+    std::vector<float> scores(n_samples);
+    std::vector<float> labels(n_samples);
+    for (std::size_t first = 0; first < n_samples; first += Mlp::kLanes) {
+        const std::size_t n = std::min(Mlp::kLanes, n_samples - first);
+        for (std::size_t e = 0; e < n; ++e) {
+            const RecSample sample = gen.Next();
+            for (std::size_t f = 0; f < sample.keys.size(); ++f)
+                table.ReadRow(sample.keys[f], x + e * input + f * dim);
+            labels[first + e] = sample.label;
+        }
+        mlp.PredictBatch(x, n, scores.data() + first);
     }
     return ComputeAuc(scores, labels);
 }
@@ -175,8 +200,10 @@ DlrmModel::Reset()
 {
     mlp_.Reset();
     losses_.clear();
-    loss_accum_.assign(config_.n_gpus, 0.0);
-    examples_.assign(config_.n_gpus, 0);
+    for (auto &slot : slots_) {
+        slot->loss_accum = 0.0;
+        slot->examples = 0;
+    }
 }
 
 }  // namespace frugal

@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/cacheline.h"
 #include "data/rec_dataset.h"
 #include "data/trace.h"
 #include "models/grad_fn.h"
@@ -80,7 +81,8 @@ class DlrmModel
     /**
      * Held-out AUC of the current model: draws `n_samples` fresh samples
      * from `gen`, gathers their embeddings from `table`, and scores them
-     * with dense replica 0 (all replicas are identical between steps).
+     * in blocks with dense replica 0 (all replicas are identical between
+     * steps). Not concurrent with training: it uses replica 0's scratch.
      */
     double EvaluateAuc(const HostEmbeddingTable &table,
                        RecDatasetGenerator &gen, std::size_t n_samples);
@@ -89,10 +91,25 @@ class DlrmModel
     void Reset();
 
   private:
+    /** One trainer's state, alone on its cache lines. */
+    struct ReplicaSlot
+    {
+        double loss_accum = 0.0;   ///< current step
+        std::size_t examples = 0;  ///< current step
+        /** Mlp::kLanes input rows and their dL/dx, sized once. */
+        std::vector<float> x;
+        std::vector<float> grad_x;
+    };
+
+    /** The grad callback body: trains `gpu`'s sub-batch of `step` in
+     *  blocks of Mlp::kLanes examples. */
+    void TrainSubBatch(const DlrmWorkload &workload, GpuId gpu, Step step,
+                       const std::vector<float> &values,
+                       std::vector<float> *grads);
+
     DlrmConfig config_;
     ReplicatedMlp mlp_;
-    std::vector<double> loss_accum_;      ///< per-GPU, current step
-    std::vector<std::size_t> examples_;   ///< per-GPU, current step
+    std::vector<CacheAligned<ReplicaSlot>> slots_;  ///< per GPU
     std::vector<double> losses_;
 };
 

@@ -5,10 +5,14 @@
  * "a fully connected network with the structure of 512-512-256-1").
  *
  * The implementation is a real forward/backward pass on CPU floats;
- * gradient-check tests validate it against finite differences. Multi-GPU
- * data parallelism is modelled by ReplicatedMlp: one replica per trainer
- * accumulates local gradients, and a single-threaded step hook averages
- * and applies them to every replica (the all-reduce of real systems).
+ * gradient-check tests validate it against finite differences.
+ * TrainExample and Predict are the scalar per-example reference;
+ * TrainBatch and PredictBatch run blocks of kLanes examples, one example
+ * per SIMD lane, bit-identical to the reference (DESIGN.md §8, "Batched
+ * MLP kernels"). Multi-GPU data parallelism is modelled by ReplicatedMlp:
+ * one replica per trainer accumulates local gradients, and a
+ * single-threaded step hook averages and applies them to every replica
+ * (the all-reduce of real systems).
  */
 #ifndef FRUGAL_MODELS_MLP_H_
 #define FRUGAL_MODELS_MLP_H_
@@ -36,10 +40,20 @@ struct MlpConfig
 class Mlp
 {
   public:
+    /** Examples per block of the batched paths: one per SIMD lane. */
+    static constexpr std::size_t kLanes = 8;
+
     explicit Mlp(const MlpConfig &config);
 
     /** Predicted probability for one input (no gradient bookkeeping). */
     float Predict(const float *x) const;
+
+    /**
+     * Predicted probabilities of the `n` rows of `x` (input_dim() floats
+     * each) into `probs`, bit-identical to one Predict call per row. Not
+     * const: it runs in the batch scratch.
+     */
+    void PredictBatch(const float *x, std::size_t n, float *probs);
 
     /**
      * Forward + backward for one example. Accumulates parameter
@@ -48,6 +62,15 @@ class Mlp
      * @return the BCE loss of this example.
      */
     float TrainExample(const float *x, float label, float *grad_x);
+
+    /**
+     * Forward + backward for the `n` rows of `x` (input_dim() floats
+     * each), bit-identical to `n` in-order TrainExample calls: the same
+     * accumulated gradients, the same dL/dx added into the rows of
+     * `grad_x`, and each example's loss in `losses[0..n)`.
+     */
+    void TrainBatch(const float *x, const float *labels, std::size_t n,
+                    float *grad_x, float *losses);
 
     /**
      * Applies the accumulated gradients, scaled by `scale` (1/examples
@@ -64,6 +87,7 @@ class Mlp
     const std::vector<float> &parameters() const { return params_; }
 
     std::size_t input_dim() const { return config_.layers.front(); }
+    float learning_rate() const { return config_.learning_rate; }
     std::size_t parameter_count() const { return params_.size(); }
 
     /** Re-initialises parameters from the seed and clears gradients. */
@@ -76,11 +100,24 @@ class Mlp
         std::size_t out = 0;
         std::size_t weight_offset = 0;  ///< into params_/grads_
         std::size_t bias_offset = 0;
+        /** Into block_acts_: the layer's input, then (contiguous) its
+         *  output. */
+        std::size_t block_in = 0;
+        /** Into block_rows_: the layer's input as rows (hidden layers). */
+        std::size_t block_rows = 0;
     };
 
     /** Forward pass filling the per-layer activations. */
     float ForwardInternal(const float *x,
                           std::vector<std::vector<float>> &acts) const;
+
+    /** Batched forward of `lanes` <= kLanes rows of `x` into block_acts_;
+     *  the unused lanes compute on zeros and are ignored. */
+    void ForwardBlock(const float *x, std::size_t lanes);
+
+    /** TrainBatch for one block of `lanes` <= kLanes rows. */
+    void TrainBlock(const float *x, const float *labels, std::size_t lanes,
+                    float *grad_x, float *losses);
 
     MlpConfig config_;
     std::vector<LayerShape> shapes_;  ///< hidden layers + output layer
@@ -90,6 +127,13 @@ class Mlp
     std::vector<std::vector<float>> acts_;
     std::vector<float> delta_;
     std::vector<float> delta_next_;
+    // Batch scratch, sized once: every layer's activations
+    // [feature][lane], the hidden layers' inputs again as [lane][feature]
+    // rows, and two [feature][lane] delta buffers.
+    std::vector<float> block_acts_;
+    std::vector<float> block_rows_;
+    std::vector<float> block_delta_;
+    std::vector<float> block_delta_next_;
 };
 
 /** Data-parallel MLP replicas with deterministic gradient averaging. */
@@ -103,9 +147,10 @@ class ReplicatedMlp
     Mlp &replica(std::uint32_t g) { return *replicas_[g]; }
 
     /**
-     * The step hook body: averages all replicas' accumulated gradients,
-     * applies the same mean step to every replica (keeping them
-     * bit-identical), and clears the accumulators.
+     * The step hook body, one element-wise pass: sums the replicas'
+     * accumulated gradients in replica order, applies the same mean step
+     * to every replica (keeping them bit-identical), and clears the
+     * accumulators.
      * @param examples_total examples contributing this step (the mean
      *        gradient divisor).
      */

@@ -1,11 +1,15 @@
 /**
  * Model tests: analytic gradients of the MLP and the four KG scorers are
- * checked against central finite differences, and the replicated-dense
- * machinery is verified to keep replicas bit-identical.
+ * checked against central finite differences, the batched MLP paths are
+ * checked byte for byte against the per-example reference, and the
+ * replicated-dense machinery is verified to keep replicas bit-identical.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -238,6 +242,198 @@ TEST(MlpTest, ResetRestoresInitialParameters)
     EXPECT_NE(a.parameters(), init);
     a.Reset();
     EXPECT_EQ(a.parameters(), init);
+}
+
+// ---------------------------------------------------------------------
+// Batched MLP paths against the per-example reference, byte for byte.
+// ---------------------------------------------------------------------
+
+bool
+SameBytes(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+MlpConfig
+BatchConfig(const std::vector<std::size_t> &layers)
+{
+    MlpConfig config;
+    config.layers = layers;
+    config.learning_rate = 0.1f;
+    config.seed = 21;
+    return config;
+}
+
+/** Kills every third unit of the first hidden layer (a bias no input
+ *  overcomes), so whole rows of deltas are exactly zero: the rows the
+ *  reference skips and the batched lanes add as ±0. */
+void
+KillHiddenUnits(Mlp &mlp, const std::vector<std::size_t> &layers)
+{
+    if (layers.size() < 2)
+        return;
+    const std::size_t bias = layers[0] * layers[1];
+    for (std::size_t o = 0; o < layers[1]; o += 3)
+        mlp.parameters()[bias + o] = -1e3f;
+}
+
+/** `n` rows of inputs with exact zeros (both signs) among the draws. */
+std::vector<float>
+BatchInputs(Rng &rng, std::size_t n, std::size_t in)
+{
+    std::vector<float> x(n * in);
+    for (std::size_t j = 0; j < x.size(); ++j) {
+        x[j] = j % 7 == 3    ? 0.0f
+               : j % 11 == 5 ? -0.0f
+                             : static_cast<float>(rng.NextGaussian());
+    }
+    return x;
+}
+
+struct BatchShape
+{
+    std::vector<std::size_t> layers;
+    std::size_t n;
+};
+
+void
+PrintTo(const BatchShape &shape, std::ostream *os)
+{
+    *os << "layers {";
+    for (std::size_t width : shape.layers)
+        *os << " " << width;
+    *os << " }, n " << shape.n;
+}
+
+class MlpBatchTest : public ::testing::TestWithParam<BatchShape>
+{
+};
+
+TEST_P(MlpBatchTest, TrainBatchMatchesInOrderTrainExample)
+{
+    const BatchShape &shape = GetParam();
+    const std::size_t in = shape.layers.front();
+    const std::size_t n = shape.n;
+    Mlp reference(BatchConfig(shape.layers));
+    Mlp batched(BatchConfig(shape.layers));
+    KillHiddenUnits(reference, shape.layers);
+    KillHiddenUnits(batched, shape.layers);
+    Rng rng(31 + n);
+    for (int round = 0; round < 4; ++round) {
+        const std::vector<float> x = BatchInputs(rng, n, in);
+        std::vector<float> labels(n);
+        for (std::size_t e = 0; e < n; ++e)
+            labels[e] = (e + static_cast<std::size_t>(round)) % 3 == 0
+                            ? 1.0f
+                            : 0.0f;
+        // grad_x accumulates: start both from the same non-zero rows.
+        std::vector<float> gx_ref(n * in), loss_ref(n);
+        for (std::size_t j = 0; j < gx_ref.size(); ++j)
+            gx_ref[j] = j % 5 == 0 ? 0.0f : static_cast<float>(j) * 1e-3f;
+        std::vector<float> gx = gx_ref, loss(n);
+        for (std::size_t e = 0; e < n; ++e) {
+            loss_ref[e] = reference.TrainExample(
+                x.data() + e * in, labels[e], gx_ref.data() + e * in);
+        }
+        batched.TrainBatch(x.data(), labels.data(), n, gx.data(),
+                           loss.data());
+        for (std::size_t e = 0; e < n; ++e)
+            ASSERT_EQ(loss_ref[e], loss[e]) << "round " << round << " e " << e;
+        ASSERT_TRUE(SameBytes(reference.gradients(), batched.gradients()))
+            << "round " << round;
+        ASSERT_TRUE(SameBytes(gx_ref, gx)) << "round " << round;
+        reference.ApplyAccumulatedGradients(1.0f / static_cast<float>(n));
+        batched.ApplyAccumulatedGradients(1.0f / static_cast<float>(n));
+        ASSERT_TRUE(SameBytes(reference.parameters(), batched.parameters()))
+            << "round " << round;
+    }
+}
+
+TEST_P(MlpBatchTest, PredictBatchMatchesPredict)
+{
+    const BatchShape &shape = GetParam();
+    const std::size_t in = shape.layers.front();
+    Mlp mlp(BatchConfig(shape.layers));
+    KillHiddenUnits(mlp, shape.layers);
+    Rng rng(41 + shape.n);
+    const std::vector<float> x = BatchInputs(rng, shape.n, in);
+    std::vector<float> expected(shape.n), probs(shape.n);
+    for (std::size_t e = 0; e < shape.n; ++e)
+        expected[e] = mlp.Predict(x.data() + e * in);
+    mlp.PredictBatch(x.data(), shape.n, probs.data());
+    EXPECT_TRUE(SameBytes(expected, probs));
+}
+
+std::vector<BatchShape>
+BatchShapes()
+{
+    // The rec_dlrm top MLP, widths that leave tails in every blocked
+    // loop (rows of 4, gradient runs of 16), and a head-only network;
+    // each with a full block, one example, and partial last blocks.
+    const std::vector<std::vector<std::size_t>> layers = {
+        {832, 128, 64}, {6, 8, 4}, {5, 3}, {13, 9, 7}, {37, 21, 6}, {7}};
+    std::vector<BatchShape> shapes;
+    for (const auto &l : layers) {
+        for (std::size_t n : {1, 7, 13, 64})
+            shapes.push_back({l, n});
+    }
+    return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MlpBatchTest, ::testing::ValuesIn(BatchShapes()),
+    [](const ::testing::TestParamInfo<BatchShape> &info) {
+        std::string name;
+        for (std::size_t width : info.param.layers)
+            name += std::to_string(width) + "_";
+        return name + "n" + std::to_string(info.param.n);
+    });
+
+TEST(ReplicatedMlpTest, FusedAllReduceMatchesReferenceLoop)
+{
+    // 1,487 parameters: more than one chunk of the fused pass, and a
+    // tail that is not a multiple of four.
+    const MlpConfig config = BatchConfig({40, 30, 8});
+    constexpr std::uint32_t kReplicas = 3;
+    ReplicatedMlp replicas(config, kReplicas);
+    Rng rng(51);
+    for (int step = 0; step < 3; ++step) {
+        std::size_t examples = 0;
+        for (std::uint32_t r = 0; r < kReplicas; ++r) {
+            const std::size_t n = 2 + r;
+            const std::vector<float> x = BatchInputs(rng, n, 40);
+            std::vector<float> gx(n * 40, 0.0f);
+            for (std::size_t e = 0; e < n; ++e) {
+                replicas.replica(r).TrainExample(
+                    x.data() + e * 40, e % 2 ? 1.0f : 0.0f,
+                    gx.data() + e * 40);
+            }
+            examples += n;
+        }
+        // Plain reference: sum in replica order, the same step on every
+        // replica.
+        std::vector<std::vector<float>> expected(kReplicas);
+        for (std::uint32_t r = 0; r < kReplicas; ++r)
+            expected[r] = replicas.replica(r).parameters();
+        const float scale = 1.0f / static_cast<float>(examples);
+        for (std::size_t i = 0; i < expected[0].size(); ++i) {
+            float sum = replicas.replica(0).gradients()[i];
+            for (std::uint32_t r = 1; r < kReplicas; ++r)
+                sum += replicas.replica(r).gradients()[i];
+            for (std::uint32_t r = 0; r < kReplicas; ++r)
+                expected[r][i] -= config.learning_rate * scale * sum;
+        }
+        replicas.AllReduceAndStep(examples);
+        const std::vector<float> zeros(expected[0].size(), 0.0f);
+        for (std::uint32_t r = 0; r < kReplicas; ++r) {
+            ASSERT_TRUE(SameBytes(expected[r],
+                                  replicas.replica(r).parameters()))
+                << "step " << step << " replica " << r;
+            ASSERT_TRUE(SameBytes(zeros, replicas.replica(r).gradients()))
+                << "step " << step << " replica " << r;
+        }
+    }
 }
 
 TEST(ReplicatedMlpTest, ReplicasStayBitIdentical)
