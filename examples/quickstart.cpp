@@ -55,6 +55,12 @@ main()
                 static_cast<unsigned long long>(report.gate_waits));
     std::printf("  stall total      : %.2f ms\n",
                 report.stall_seconds_total * 1e3);
+    std::printf("  registration     : %.2f ms (%.0f ns per update)\n",
+                report.registration_seconds * 1e3,
+                report.updates_emitted == 0
+                    ? 0.0
+                    : report.registration_seconds * 1e9 /
+                          static_cast<double>(report.updates_emitted));
     std::printf("  audit violations : %llu (must be 0)\n",
                 static_cast<unsigned long long>(report.audit_violations));
 

@@ -87,10 +87,18 @@ HOT_FUNCTIONS = (
     # Per-step registration: the prefetcher plans each future step
     # (sorted records, unique keys, their g-entries) and registers its
     # reads; the step-barrier completion executes the plan, one
-    # g-entry W-set insert per staged update record.
+    # g-entry lock hold and W-set append per key run, and enqueues the
+    # step's newly pending entries through the PQ's batch, whose copies
+    # publish per (bucket, shard) after the pass.
     "Pipeline::PlanStep",
     "Pipeline::RegisterStep",
     "GEntry::AddWriteLocked",
+    "PropagatePriorityBatchedLocked",
+    "TwoLevelPQ::BeginBatch",
+    "TwoLevelPQ::EnqueueBatched",
+    "TwoLevelPQ::PublishBatch",
+    "TwoLevelPQ::PublishGroup",
+    "AtomicSlotSet::InsertBatch",
     # Two-level PQ dequeue path
     "TwoLevelPQ::DrainBucket",
     # GPU cache operations on the trainer critical path

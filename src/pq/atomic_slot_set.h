@@ -9,7 +9,10 @@
  *                    deduplicates logically via the g-entry `enqueued`
  *                    flag),
  *   - PopAny()     — remove and return *some* element,
- * both lock-free (CAS loops only, no mutual exclusion).
+ * both lock-free (CAS loops only, no mutual exclusion). InsertBatch adds
+ * a run of elements, paying the shared counters once per run (and
+ * `published` once per segment) instead of once per element; Insert is
+ * a run of one.
  *
  * The paper uses a lock-free dynamic hash table (it needs key lookup for
  * its delete-from-old-bucket step). Frugal's AdjustPriority here uses
@@ -77,31 +80,43 @@ class AtomicSlotSet
     AtomicSlotSet &operator=(const AtomicSlotSet &) = delete;
 
     /** Adds `item` (never fails; grows as needed). */
+    void Insert(T *item) { InsertBatch(&item, 1); }
+
+    /**
+     * Adds `items[0..n)` with one cursor claim and one occupancy add for
+     * the whole run and one `published` announcement per segment it
+     * spans. Poppers see the run's slots fill in index order.
+     */
     void
-    Insert(T *item)
+    InsertBatch(T *const *items, std::size_t n)
     {
-        FRUGAL_CHECK(item != nullptr);
+        if (n == 0)
+            return;
         // relaxed: the cursor is a pure index dispenser — uniqueness is
-        // all we need; the slot store below publishes the data.
-        const std::size_t index =
-            cursor_.fetch_add(1, std::memory_order_relaxed);
+        // all we need; the slot stores below publish the data.
+        std::size_t index = cursor_.fetch_add(n, std::memory_order_relaxed);
+        occupied_.fetch_add(n, std::memory_order_release);
         Segment *seg = SegmentFor(index);
-        // The cursor hands out each index exactly once, so this slot is
-        // exclusively ours. Counters are *announced* before the pointer
-        // is published so "popped ≤ published" holds per segment at
-        // every instant (the invariant auditor checks it mid-run); a
-        // popper that sees the announcement before the pointer merely
-        // treats the slot as mid-publish, which the PopAny contract
-        // already allows.
-        occupied_.fetch_add(1, std::memory_order_release);
-        seg->published.fetch_add(1, std::memory_order_release);
-        Slot &slot = seg->slots[index - seg->base_index];
-        // Declared protocol edge: everything written before this insert
-        // becomes visible to the popper that claims this slot (the
-        // release store establishes it; the annotation documents it at
-        // the protocol level for TSan).
-        FRUGAL_ANNOTATE_HAPPENS_BEFORE(&slot);
-        slot.ptr.store(item, std::memory_order_release);
+        for (std::size_t done = 0; done < n;) {
+            if (index >= seg->base_index + segment_slots_)
+                seg = NextSegment(seg);
+            const std::size_t offset = index - seg->base_index;
+            const std::size_t take =
+                std::min(n - done, segment_slots_ - offset);
+            // The cursor hands out each index exactly once, so these
+            // slots are exclusively ours. A segment's share is
+            // *announced* before its pointers are published so "popped
+            // ≤ published" holds per segment at every instant (the
+            // invariant auditor checks it mid-run); a popper that sees
+            // the occupancy or the announcement before a pointer merely
+            // treats the slot as mid-publish, which the PopAny contract
+            // already allows.
+            seg->published.fetch_add(take, std::memory_order_release);
+            for (std::size_t i = 0; i < take; ++i)
+                Publish(seg->slots[offset + i], items[done + i]);
+            done += take;
+            index += take;
+        }
     }
 
     /**
@@ -227,6 +242,19 @@ class AtomicSlotSet
         model_atomic<Segment *> next{nullptr};
     };
 
+    /** Stores `item` into its claimed, announced slot. */
+    static void
+    Publish(Slot &slot, T *item)
+    {
+        FRUGAL_CHECK(item != nullptr);
+        // Declared protocol edge: everything written before this insert
+        // becomes visible to the popper that claims this slot (the
+        // release store establishes it; the annotation documents it at
+        // the protocol level for TSan).
+        FRUGAL_ANNOTATE_HAPPENS_BEFORE(&slot);
+        slot.ptr.store(item, std::memory_order_release);
+    }
+
     /** Returns the segment containing `index`, growing as needed. */
     Segment *
     SegmentFor(std::size_t index)
@@ -234,24 +262,30 @@ class AtomicSlotSet
         Segment *seg = tail_hint_.load(std::memory_order_acquire);
         if (index < seg->base_index)
             seg = head_;
-        while (index >= seg->base_index + segment_slots_) {
-            Segment *next = seg->next.load(std::memory_order_acquire);
-            if (next == nullptr) {
-                auto *fresh =
-                    new Segment(segment_slots_,
-                                seg->base_index + segment_slots_);
-                if (seg->next.compare_exchange_strong(
-                        next, fresh, std::memory_order_acq_rel,
-                        std::memory_order_acquire)) {
-                    next = fresh;
-                    tail_hint_.store(fresh, std::memory_order_release);
-                } else {
-                    delete fresh;  // somebody else grew it first
-                }
-            }
-            seg = next;
-        }
+        while (index >= seg->base_index + segment_slots_)
+            seg = NextSegment(seg);
         return seg;
+    }
+
+    /** Returns the segment after `seg`, appending it if it is the tail. */
+    Segment *
+    NextSegment(Segment *seg)
+    {
+        Segment *next = seg->next.load(std::memory_order_acquire);
+        if (next != nullptr)
+            return next;
+        // alloc-ok: amortized growth, one segment per segment_slots
+        // inserts into this set; segments live until the set dies.
+        auto *fresh =
+            new Segment(segment_slots_, seg->base_index + segment_slots_);
+        if (seg->next.compare_exchange_strong(next, fresh,
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+            tail_hint_.store(fresh, std::memory_order_release);
+            return fresh;
+        }
+        delete fresh;  // somebody else grew it first
+        return next;
     }
 
     /**

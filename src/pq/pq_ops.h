@@ -7,10 +7,13 @@
  *    step s ⇒ insert s into the R set (and re-prioritise if enqueued).
  *    The engine calls it once per unique key per step, when it plans
  *    the step.
- *  - RegisterUpdate: the step boundary registers ⟨key, s, Δ⟩ ⇒
- *    remove s from the R set, append to the W set (copying Δ into the
- *    entry's row buffer), enqueue or re-prioritise. The engine calls it
- *    once per (key, src) record, in the step plan's (key, src) order.
+ *  - RegisterUpdate: a step registers ⟨key, s, Δ⟩ ⇒ remove s from the
+ *    R set, append to the W set (copying Δ into the entry's row
+ *    buffer), enqueue or re-prioritise. It is the per-record reference
+ *    protocol the PQ tests and benches drive; the engine's step
+ *    boundary performs the same transition once per key run, in one
+ *    lock hold, enqueuing through TwoLevelPQ's batch
+ *    (PropagatePriorityBatchedLocked, Pipeline::RegisterStep).
  *  - FlushClaimed / TakeClaimedWrites: a flush thread owns a claimed
  *    entry ⇒ apply (or detach) its W set in canonical (step, src) order.
  *
@@ -25,6 +28,7 @@
 
 #include "pq/flush_queue.h"
 #include "pq/g_entry.h"
+#include "pq/two_level_pq.h"
 
 namespace frugal {
 
@@ -41,6 +45,32 @@ PropagatePriorityLocked(FlushQueue &queue, GEntry &entry, Priority before,
     if (!entry.enqueuedLocked()) {
         entry.setEnqueuedLocked(true);
         queue.Enqueue(&entry, after);
+    } else if (before != after) {
+        queue.OnPriorityChange(&entry, before, after);
+    }
+}
+
+/**
+ * PropagatePriorityLocked for a step-boundary registration, after the
+ * key run's writes were appended: a newly pending entry joins `queue`'s
+ * open batch (TwoLevelPQ::BeginBatch) instead of enqueuing alone. Its
+ * `enqueued` flag is set and its bucket's logical count raised here,
+ * under the entry lock, so a flusher that claims it through an older
+ * stale copy, or a RegisterRead that re-prioritises it, decrements only
+ * after this increment; the slot copy publishes with the batch. An entry
+ * still enqueued from an earlier step (only the gate's absence,
+ * disable_gate_unsafe, leaves a read step's writes unflushed at its
+ * boundary) re-prioritises at once.
+ */
+inline void
+PropagatePriorityBatchedLocked(TwoLevelPQ &queue, GEntry &entry,
+                               Priority before, Priority after)
+    FRUGAL_REQUIRES(entry.lock())
+{
+    FRUGAL_DCHECK(entry.hasWritesLocked());
+    if (!entry.enqueuedLocked()) {
+        entry.setEnqueuedLocked(true);
+        queue.EnqueueBatched(&entry, after);
     } else if (before != after) {
         queue.OnPriorityChange(&entry, before, after);
     }

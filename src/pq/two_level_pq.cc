@@ -12,7 +12,8 @@ TwoLevelPQ::TwoLevelPQ(const TwoLevelPQConfig &config)
       infinity_index_(static_cast<std::size_t>(config.max_step) + 1),
       buckets_(static_cast<std::size_t>(config.max_step) + 2),
       sets_((static_cast<std::size_t>(config.max_step) + 2) *
-            config.n_shards)
+            config.n_shards),
+      batch_groups_((kBatchWindow + 1) * config.n_shards)
 {
     FRUGAL_CHECK_MSG(config.n_shards >= 1, "n_shards must be >= 1");
     // relaxed: single-threaded construction; publication of the whole
@@ -53,6 +54,8 @@ TwoLevelPQ::EnsureSet(std::size_t bucket_index, std::size_t shard)
         sets_[bucket_index * n_shards_ + shard];
     AtomicSlotSet<GEntry> *set = slot.load(std::memory_order_acquire);
     if (set == nullptr) {
+        // alloc-ok: once per (bucket, shard) per run; the set then
+        // serves every copy that bucket ever holds.
         auto *fresh = new AtomicSlotSet<GEntry>(config_.segment_slots);
         if (slot.compare_exchange_strong(set, fresh,
                                          std::memory_order_acq_rel,
@@ -91,6 +94,80 @@ TwoLevelPQ::OnPriorityChange(GEntry *entry, Priority old_priority,
     // dequeuer whose priority validation fails.
     buckets_[BucketIndex(old_priority)].logical.fetch_sub(
         1, std::memory_order_release);
+}
+
+void
+TwoLevelPQ::BeginBatch(std::size_t max_enqueues)
+{
+    FRUGAL_DCHECK_MSG(batch_reserved_ == 0, "batches do not nest");
+    // relaxed: approximate global size (SizeApprox contract). Reserving
+    // before any staged entry is visible keeps the size an over-count: a
+    // dequeuer that claims a staged entry early decrements it before
+    // PublishBatch returns the unused part.
+    size_->fetch_add(max_enqueues, std::memory_order_relaxed);
+    batch_reserved_ = max_enqueues;
+}
+
+void
+TwoLevelPQ::EnqueueBatched(GEntry *entry, Priority priority)
+{
+    FRUGAL_DCHECK_MSG(batch_used_ < batch_reserved_,
+                      "batched enqueue beyond the reservation");
+    ++batch_used_;
+    const std::size_t bucket_index = BucketIndex(priority);
+    // Logical count first, under the entry lock: a dequeuer that pops an
+    // older stale copy of this entry from this bucket may claim it before
+    // PublishBatch, and so may the prefetcher re-prioritise it; either
+    // decrement must follow this increment.
+    buckets_[bucket_index].logical.fetch_add(1, std::memory_order_release);
+    const bool infinite = bucket_index == infinity_index_;
+    const std::size_t slot =
+        infinite ? kBatchWindow : bucket_index % kBatchWindow;
+    const std::size_t shard = ShardOf(entry);
+    BatchGroup &group = batch_groups_[slot * n_shards_ + shard];
+    if (group.bucket != bucket_index) {
+        PublishGroup(group, shard);
+        group.bucket = bucket_index;
+    }
+    // alloc-ok: each group keeps its capacity across batches; it grows
+    // only past its largest (bucket, shard) population so far.
+    group.entries.push_back(entry);
+    if (!infinite)
+        batch_low_ = std::min(batch_low_, bucket_index);
+    if (bucket_index == batch_low_ && group.entries.size() == kUrgentGroup)
+        PublishGroup(group, shard);
+}
+
+void
+TwoLevelPQ::PublishBatch()
+{
+    // Lowest priority first: the next step's blockers are what the gate
+    // waits on.
+    if (batch_low_ != SIZE_MAX) {
+        for (std::size_t k = 0; k < kBatchWindow; ++k) {
+            const std::size_t slot = (batch_low_ + k) % kBatchWindow;
+            for (std::size_t shard = 0; shard < n_shards_; ++shard)
+                PublishGroup(batch_groups_[slot * n_shards_ + shard], shard);
+        }
+    }
+    for (std::size_t shard = 0; shard < n_shards_; ++shard)
+        PublishGroup(batch_groups_[kBatchWindow * n_shards_ + shard], shard);
+    // relaxed: approximate global size (SizeApprox contract).
+    size_->fetch_sub(batch_reserved_ - batch_used_,
+                     std::memory_order_relaxed);
+    batch_reserved_ = 0;
+    batch_used_ = 0;
+    batch_low_ = SIZE_MAX;
+}
+
+void
+TwoLevelPQ::PublishGroup(BatchGroup &group, std::size_t shard)
+{
+    if (group.entries.empty())
+        return;
+    EnsureSet(group.bucket, shard)
+        .InsertBatch(group.entries.data(), group.entries.size());
+    group.entries.clear();
 }
 
 std::size_t

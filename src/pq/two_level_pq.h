@@ -10,6 +10,12 @@
  *
  * Operations (all O(1) amortised, matching the paper):
  *  - Enqueue: insert into the bucket indexed by the priority.
+ *  - Batched enqueue (BeginBatch / EnqueueBatched / PublishBatch): the
+ *    same transition for a whole step's registration. Each entry's
+ *    logical count still rises under its entry lock; the global size is
+ *    reserved once per batch, and the slot copies are published after
+ *    the pass with one InsertBatch per (bucket, shard), so the shared
+ *    slot-set counters are paid per group rather than per entry.
  *  - AdjustPriority (OnPriorityChange): insert into the *new* bucket
  *    first, then logically delete from the old one — the paper's ordering,
  *    so a concurrent dequeuer can never observe the entry in neither
@@ -62,6 +68,7 @@
 #define FRUGAL_PQ_TWO_LEVEL_PQ_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -114,6 +121,27 @@ class TwoLevelPQ final : public FlushQueue
     std::size_t DequeueClaimBelow(std::vector<ClaimTicket> &out,
                                   std::size_t max_entries,
                                   std::size_t shard_hint, Step ceiling);
+    /**
+     * Batched enqueue, for one registrar at a time (the step-boundary
+     * completion registers each step through it). BeginBatch reserves
+     * `max_enqueues` in the global size. EnqueueBatched stands in for
+     * Enqueue under the entry lock: it raises the bucket's logical count
+     * there, before the caller's `enqueued` flag can be seen, and stages
+     * the entry's slot copy. PublishBatch inserts the staged copies with
+     * one AtomicSlotSet::InsertBatch per (bucket, shard), lowest priority
+     * first and ∞ last, then returns the unused part of the reservation;
+     * the lowest bucket's copies also publish during the pass, every
+     * kUrgentGroup of them. Until its copy publishes, a staged entry
+     * keeps the gate shut but is invisible to dequeuers, unless one pops
+     * an older stale copy of it from the same bucket and claims it early;
+     * the claim retires the logical count and reservation the batch
+     * already made, so the accounting holds.
+     */
+    void BeginBatch(std::size_t max_enqueues);
+    void EnqueueBatched(GEntry *entry, Priority priority)
+        FRUGAL_REQUIRES(entry->lock());
+    void PublishBatch();
+
     void OnFlushed(const ClaimTicket &ticket) override;
     void Unenqueue(GEntry *entry, Priority priority)
         FRUGAL_REQUIRES(entry->lock()) override;
@@ -153,6 +181,31 @@ class TwoLevelPQ final : public FlushQueue
         model_atomic<std::int64_t> in_flight{0};
     };
 
+    /**
+     * The batch stages copies in a fixed window of groups, not one per
+     * bucket: finite bucket b uses window slot b % kBatchWindow (a step's
+     * priorities span the lookahead, so they rarely collide), ∞ the last
+     * slot. A bucket arriving at a slot another bucket holds publishes
+     * that group early.
+     */
+    static constexpr std::size_t kBatchWindow = 64;
+
+    /**
+     * Group size at which the lowest bucket staged so far publishes
+     * during the pass. After a step's first few keys that bucket is the
+     * next step's, whose entries the next gate waits on; publishing them
+     * in small groups lets flushers start on them while the pass goes
+     * on, where a whole-pass wait left them all to the gate.
+     */
+    static constexpr std::size_t kUrgentGroup = 16;
+
+    /** Staged copies of one (bucket, shard). */
+    struct BatchGroup
+    {
+        std::size_t bucket = 0;
+        std::vector<GEntry *> entries;  ///< capacity kept across batches
+    };
+
     std::size_t BucketIndex(Priority priority) const;
     std::size_t ShardOf(const GEntry *entry) const;
     AtomicSlotSet<GEntry> &EnsureSet(std::size_t bucket_index,
@@ -168,6 +221,9 @@ class TwoLevelPQ final : public FlushQueue
                             std::vector<ClaimTicket> &out,
                             std::size_t max_entries, std::size_t shard_hint,
                             std::uint64_t *stale_out);
+
+    /** Inserts a group's staged copies into its (bucket, shard) set. */
+    void PublishGroup(BatchGroup &group, std::size_t shard);
 
     /** Shared scan body: claims from finite buckets up to
      *  min(ceiling, horizon), then optionally the ∞ bucket. */
@@ -193,6 +249,13 @@ class TwoLevelPQ final : public FlushQueue
     CacheAligned<model_atomic<std::uint64_t>> stale_discards_{0};
     CacheAligned<model_atomic<std::uint64_t>> buckets_scanned_{0};
     bool scan_compression_ = true;
+    // Batch state, confined to the registrar between BeginBatch and
+    // PublishBatch: group `slot * n_shards_ + shard`, the reservation,
+    // the enqueues made against it and the lowest finite bucket staged.
+    std::vector<BatchGroup> batch_groups_;
+    std::size_t batch_reserved_ = 0;
+    std::size_t batch_used_ = 0;
+    std::size_t batch_low_ = SIZE_MAX;
 };
 
 }  // namespace frugal

@@ -12,12 +12,13 @@ namespace engine_internal {
 
 namespace {
 
-/** One buffered update awaiting the step's commit phase. */
-struct PendingUpdate
+/** One buffered update awaiting the step's commit phase: row `row` of
+ *  GPU `src`'s gradient slot. */
+struct PendingRef
 {
     Key key;
     GpuId src;
-    std::vector<float> grad;
+    std::uint32_t row;
 };
 
 double
@@ -57,7 +58,12 @@ RunSync(Engine &engine, const Trace &trace, const GradFn &grad_fn,
     std::atomic<std::uint64_t> remote_queries{0};
     std::atomic<Step> current_step{0};
 
-    std::vector<std::vector<PendingUpdate>> update_buffers(n_gpus);
+    // Commit state, reused from step to step: each GPU's gradients for
+    // the step (filled by its trainer), the step's (key, src, row) index
+    // and one key run's gradient rows.
+    std::vector<std::vector<float>> grad_slots(n_gpus);
+    std::vector<PendingRef> pending;
+    std::vector<const float *> run_grads;
     std::vector<float> scratch_row(config.dim);
     double commit_seconds_total = 0.0;
     StatAccumulator commit_per_step;
@@ -69,41 +75,47 @@ RunSync(Engine &engine, const Trace &trace, const GradFn &grad_fn,
     std::barrier step_barrier(
         static_cast<std::ptrdiff_t>(n_gpus), [&]() noexcept {
             const auto commit_start = std::chrono::steady_clock::now();
-            std::vector<PendingUpdate> all;
-            for (auto &buffer : update_buffers) {
-                for (auto &u : buffer)
-                    all.push_back(std::move(u));
-                buffer.clear();
+            // relaxed: only this committer thread advances the step, so
+            // its own prior store is always visible to it.
+            const Step s = current_step.load(std::memory_order_relaxed);
+            pending.clear();
+            for (std::uint32_t g = 0; g < n_gpus; ++g) {
+                const std::vector<Key> &keys = trace.KeysFor(s, g);
+                for (std::uint32_t r = 0; r < keys.size(); ++r)
+                    pending.push_back(
+                        PendingRef{keys[r], static_cast<GpuId>(g), r});
             }
             // Canonical order: (key, src); per-row application order then
             // matches the single-threaded oracle exactly.
-            std::sort(all.begin(), all.end(),
-                      [](const PendingUpdate &a, const PendingUpdate &b) {
+            std::sort(pending.begin(), pending.end(),
+                      [](const PendingRef &a, const PendingRef &b) {
                           return a.key != b.key ? a.key < b.key
                                                 : a.src < b.src;
                       });
-            for (std::size_t i = 0; i < all.size(); ++i) {
-                table.ApplyGradient(all[i].key, all[i].grad.data(),
-                                    engine.optimizer());
-                ++updates_applied;
-                const bool last_for_key =
-                    i + 1 == all.size() || all[i + 1].key != all[i].key;
-                if (last_for_key && mode != SyncMode::kNoCache) {
+            for (std::size_t i = 0; i < pending.size();) {
+                const Key key = pending[i].key;
+                run_grads.clear();
+                for (; i < pending.size() && pending[i].key == key; ++i) {
+                    run_grads.push_back(
+                        grad_slots[pending[i].src].data() +
+                        static_cast<std::size_t>(pending[i].row) *
+                            config.dim);
+                }
+                table.ApplyGradients(key, run_grads.data(), run_grads.size(),
+                                     engine.optimizer());
+                updates_applied += run_grads.size();
+                if (mode != SyncMode::kNoCache) {
                     // Refresh the owner's cached copy with the committed
                     // row.
-                    const GpuId owner = ownership.OwnerOf(all[i].key);
-                    table.ReadRow(all[i].key, scratch_row.data());
-                    caches[owner]->UpdateIfPresent(all[i].key,
-                                                   scratch_row.data());
+                    table.ReadRow(key, scratch_row.data());
+                    caches[ownership.OwnerOf(key)]->UpdateIfPresent(
+                        key, scratch_row.data());
                 }
             }
             const auto commit_end = std::chrono::steady_clock::now();
             const double commit = Seconds(commit_start, commit_end);
             commit_seconds_total += commit;
             commit_per_step.Add(commit);
-            // relaxed: only this committer thread advances the step, so
-            // its own prior store is always visible to it.
-            const Step s = current_step.load(std::memory_order_relaxed);
             if (step_hook)
                 step_hook(s);
             current_step.store(s + 1, std::memory_order_release);
@@ -114,7 +126,8 @@ RunSync(Engine &engine, const Trace &trace, const GradFn &grad_fn,
     for (std::uint32_t g = 0; g < n_gpus; ++g) {
         trainers.emplace_back([&, g] {
             std::vector<float> values;
-            std::vector<float> grads;
+            // The commit reads this GPU's gradients from its slot.
+            std::vector<float> &grads = grad_slots[g];
             for (Step s = 0; s < n_steps; ++s) {
                 const std::vector<Key> &keys = trace.KeysFor(s, g);
                 values.resize(keys.size() * config.dim);
@@ -174,19 +187,6 @@ RunSync(Engine &engine, const Trace &trace, const GradFn &grad_fn,
                 }
 
                 grad_fn(g, s, keys, values, &grads);
-
-                auto &buffer = update_buffers[g];
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    PendingUpdate update;
-                    update.key = keys[i];
-                    update.src = g;
-                    update.grad.assign(
-                        grads.begin() +
-                            static_cast<std::ptrdiff_t>(i * config.dim),
-                        grads.begin() + static_cast<std::ptrdiff_t>(
-                                            (i + 1) * config.dim));
-                    buffer.push_back(std::move(update));
-                }
                 step_barrier.arrive_and_wait();
             }
         });

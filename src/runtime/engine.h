@@ -190,6 +190,12 @@ struct RunReport
     std::uint64_t host_reads = 0;        ///< rows fetched from host memory
     std::uint64_t remote_cache_queries = 0;  ///< cross-GPU cache lookups
                                              ///< (CachedEngine's a2a)
+    /** Seconds the step-barrier completion spent registering steps
+     *  (FrugalEngine; 0 for the other engines). Divided by
+     *  `updates_emitted`, the records it registered, it gives the cost
+     *  per record. */
+    double registration_seconds = 0.0;
+
     std::uint64_t updates_emitted = 0;   ///< ⟨key,step,Δ⟩ records produced
     std::uint64_t updates_applied = 0;   ///< records committed to host
     std::uint64_t flush_entry_claims = 0;///< g-entries claimed by flushers

@@ -603,7 +603,12 @@ class Pipeline
         // relaxed: the completion callback is the only writer and runs
         // single-threaded between steps.
         const Step s = current_step_.load(std::memory_order_relaxed);
-        RegisterStep(s);
+        // One clock read stamps the step's records and starts the
+        // registration timer.
+        const auto registration_start = std::chrono::steady_clock::now();
+        RegisterStep(s, registration_start);
+        report_.registration_seconds +=
+            Seconds(registration_start, std::chrono::steady_clock::now());
         if (step_hook_)
             step_hook_(s);
 #if FRUGAL_DCHECK_ENABLED
@@ -1031,16 +1036,23 @@ class Pipeline
     /**
      * Registers a step that is complete everywhere (the step boundary):
      * its R-set removals and W-set insertions are now safe. It executes
-     * the step's plan (PlanStep): one RegisterUpdate per record, in
-     * plan order, with no sort and no registry call. Each gradient row
-     * is copied from its board slot straight into the g-entry's own row
-     * buffer, so registration allocates nothing per record. The records
-     * then count as emitted, and the board's retained buffers feed the
-     * kQueue pressure gauge.
+     * the step's plan (PlanStep) with no sort and no registry call: one
+     * entry-lock hold per key run, which removes the step from the R set
+     * once and appends the run's records in plan order, copying each
+     * gradient row from its board slot straight into the g-entry's own
+     * row buffer. PropagatePriorityBatchedLocked then enqueues a newly
+     * pending entry through the queue's batch (TwoLevelPQ::BeginBatch),
+     * which publishes its copies in groups, most after the pass. The
+     * records then count as emitted, and the board's retained buffers
+     * feed the kQueue pressure gauge. `staged_at` stamps every record
+     * (flush lag).
      */
     void
-    RegisterStep(Step s)
+    RegisterStep(Step s, std::chrono::steady_clock::time_point staged_at)
     {
+        // Runs (entries) and records (board rows) ahead of the cursor to
+        // prefetch: the plan already names everything the pass touches.
+        constexpr std::size_t kPrefetchDistance = 16;
         const std::size_t dim = config_.dim;
         const StepPlan &plan = *plans_[s % plans_.size()];
         FRUGAL_DCHECK(plan.step == s);
@@ -1050,27 +1062,48 @@ class Pipeline
             FRUGAL_DCHECK(board_[g]->step == s);
             board_bytes += board_[g]->grads.capacity() * sizeof(float);
         }
-        // One stamp for the step's records: flush lag is measured from
-        // here, and the whole step registers in one pass.
-        const auto staged_at = std::chrono::steady_clock::now();
-        std::size_t run = 0;
-        for (std::size_t i = 0; i < plan.refs.size(); ++i) {
-            const RowRef &ref = plan.refs[i];
-            // Canonical arrival order (DESIGN.md §5 item 4): strictly
-            // increasing (key, src).
-            FRUGAL_DCHECK(i == 0 || std::tie(plan.refs[i - 1].key,
-                                             plan.refs[i - 1].src) <
-                                        std::tie(ref.key, ref.src));
-            if (ref.key != plan.keys[run])
-                ++run;  // refs and keys sort identically
-            const float *grad = board_[ref.src]->grads.data() +
-                                static_cast<std::size_t>(ref.row) * dim;
-            RegisterUpdate(queue_, *plan.entries[run],
-                           WriteRecord{.step = s,
-                                       .src = ref.src,
-                                       .staged = staged_at},
-                           std::span<const float>(grad, dim));
+        const auto board_row = [&](const RowRef &ref) {
+            return board_[ref.src]->grads.data() +
+                   static_cast<std::size_t>(ref.row) * dim;
+        };
+        queue_.BeginBatch(plan.entries.size());
+        std::size_t i = 0;
+        for (std::size_t run = 0; run < plan.entries.size(); ++run) {
+            if (run + kPrefetchDistance < plan.entries.size()) {
+                // A GEntry straddles two cache lines.
+                const char *ahead = reinterpret_cast<const char *>(
+                    plan.entries[run + kPrefetchDistance]);
+                __builtin_prefetch(ahead, 1);
+                __builtin_prefetch(ahead + sizeof(GEntry) - 1, 1);
+            }
+            GEntry &entry = *plan.entries[run];
+            SpinGuard guard(entry.lock());
+            const Priority before = entry.priorityLocked();
+            entry.RemoveReadLocked(s);
+            // refs and keys sort identically: the run is every record of
+            // keys[run].
+            for (; i < plan.refs.size() && plan.refs[i].key == plan.keys[run];
+                 ++i) {
+                const RowRef &ref = plan.refs[i];
+                // Canonical arrival order (DESIGN.md §5 item 4): strictly
+                // increasing (key, src).
+                FRUGAL_DCHECK(i == 0 || std::tie(plan.refs[i - 1].key,
+                                                 plan.refs[i - 1].src) <
+                                            std::tie(ref.key, ref.src));
+                if (i + kPrefetchDistance < plan.refs.size())
+                    __builtin_prefetch(
+                        board_row(plan.refs[i + kPrefetchDistance]));
+                entry.AddWriteLocked(WriteRecord{.step = s,
+                                                 .src = ref.src,
+                                                 .staged = staged_at},
+                                     std::span<const float>(board_row(ref),
+                                                            dim));
+            }
+            PropagatePriorityBatchedLocked(queue_, entry, before,
+                                           entry.priorityLocked());
         }
+        FRUGAL_DCHECK(i == plan.refs.size());
+        queue_.PublishBatch();
         // relaxed: only this completion writes the counter; the
         // checkpoint barrier reads it on this thread, WindDown after the
         // trainer joins, and the watchdog tolerates skew.

@@ -23,7 +23,10 @@
  * PR 1 bug shape deliberately re-introduced (pointer published before
  * the counter announcement) and requires the explorer to find the
  * violating schedule. If the explorer ever loses the power to catch
- * that bug class, this test fails.
+ * that bug class, this test fails. BatchedCountAfterPublishBugCaught is
+ * the batched registration's counterpart: its registrar raises the
+ * logical counts after the pass instead of under each entry lock, and
+ * the mid-run audits must see a count go negative.
  *
  * These tests are meaningful only when the model_atomic shims are live
  * (FRUGAL_MODELCHECK builds — the `modelcheck` preset); elsewhere they
@@ -87,7 +90,7 @@ DefaultOptions()
 TEST(ModelCheckSlotSet, AnnounceClaimAudit)
 {
     FRUGAL_REQUIRE_MODELCHECK();
-    static int items[2];
+    static int items[3];
 
     // Full bounded-DFS coverage: the announce/publish reorder needs an
     // early divergence (preempting the inserter mid-insert), which DFS
@@ -100,9 +103,15 @@ TEST(ModelCheckSlotSet, AnnounceClaimAudit)
 
     const check::Result result = check::Explore(
         options, [](check::Explorer &ex) {
-            auto set = std::make_shared<AtomicSlotSet<int>>(4);
+            // Two-slot segments: the two-item batch after the single
+            // insert fills the first segment's second slot, where an
+            // unannounced pointer is observable (a popper passes the
+            // segment's check on the first item's announcement), and
+            // spans into a second segment, so the explorer also runs
+            // the per-segment announce loop and the growth within it.
+            auto set = std::make_shared<AtomicSlotSet<int>>(2);
             auto tally =
-                std::make_shared<std::array<model_atomic<int>, 2>>();
+                std::make_shared<std::array<model_atomic<int>, 3>>();
 
             // Two competing poppers matter: the announce-before-publish
             // reorder only becomes observable when one popper drains the
@@ -119,7 +128,8 @@ TEST(ModelCheckSlotSet, AnnounceClaimAudit)
             };
             ex.Thread([set] {
                 set->Insert(&items[0]);
-                set->Insert(&items[1]);
+                int *const batch[] = {&items[1], &items[2]};
+                set->InsertBatch(batch, 2);
             });
             ex.Thread(pop_once);
             ex.Thread(pop_once);
@@ -144,6 +154,7 @@ TEST(ModelCheckSlotSet, AnnounceClaimAudit)
             }
             ex.Check((*tally)[0].load() == 1, "item 0 claimed once");
             ex.Check((*tally)[1].load() == 1, "item 1 claimed once");
+            ex.Check((*tally)[2].load() == 1, "item 2 claimed once");
             const auto snap = set->AuditAccounting();
             ex.Check(snap.per_segment_consistent,
                      "quiescent slot-set accounting consistent");
@@ -500,6 +511,138 @@ TEST(ModelCheckTwoLevelPQ, GateVsEnqueueAndFlush)
     ReportExploration("GateVsEnqueueAndFlush", result);
     EXPECT_TRUE(result.clean()) << result.first_violation;
     EXPECT_GE(result.distinct_schedules, kDistinctTarget);
+}
+
+// --------------------------------------------------------------------
+// Batched step registration (Pipeline::RegisterStep's path): a
+// registrar batches step 1's key runs while a flusher claims and a
+// prefetcher registers a step-2 read.
+// --------------------------------------------------------------------
+
+/**
+ * Registers one key run of `step` into the queue's open batch as
+ * Pipeline::RegisterStep does: one entry-lock hold removes the read,
+ * appends the write and hands the priority transition to
+ * PropagatePriorityBatchedLocked, which sets `enqueued` and raises the
+ * bucket's logical count. With `count_under_lock` false the run only
+ * sets `enqueued` and returns the entry for a late count, the negative
+ * control's bug (no entry of the scenario is still enqueued here).
+ */
+GEntry *
+RegisterRunBatched(TwoLevelPQ &queue, GEntry &entry, Step step,
+                   bool count_under_lock)
+{
+    SpinGuard guard(entry.lock());
+    const Priority before = entry.priorityLocked();
+    entry.RemoveReadLocked(step);
+    entry.AddWriteLocked(WriteRecord{step, 0, {}, {}});
+    if (count_under_lock) {
+        PropagatePriorityBatchedLocked(queue, entry, before,
+                                       entry.priorityLocked());
+        return nullptr;
+    }
+    entry.setEnqueuedLocked(true);
+    return &entry;
+}
+
+/**
+ * Entry 0's earlier ∞ residence left a stale copy in the ∞ bucket, and
+ * step 1 is its last read, so the batch enqueues it at ∞ again: a
+ * flusher can claim it through the stale copy before the batch
+ * publishes. Entry 1's only read is step 1, so it too lands at ∞, and
+ * the prefetcher's step-2 read moves it to bucket 2, possibly before
+ * the batch publishes. Entry 2 reads steps 1 and 2, so the batch
+ * enqueues it at 2. Every thread audits the counts mid-run.
+ *
+ * `count_under_lock` false raises the logical counts only when the
+ * batch publishes, after the pass made the entries claimable (their
+ * `enqueued` flags, which a stale copy or a re-prioritising read acts
+ * on), as a batch that grouped the counts with the slot copies would.
+ */
+check::Result
+ExploreBatchedRegistration(bool count_under_lock,
+                           const check::Options &options)
+{
+    return check::Explore(options, [count_under_lock](check::Explorer &ex) {
+        auto st = std::make_shared<PQState>(/*n_shards=*/2);
+        TwoLevelPQ &queue = st->queue;
+        RegisterUpdate(queue, st->entry(0), WriteRecord{0, 0, {}, {}});
+        RegisterRead(queue, st->entry(0), /*step=*/1);  // ∞ copy stale
+        std::vector<ClaimTicket> setup;
+        queue.DequeueClaimBelow(setup, 1, /*shard_hint=*/0, /*ceiling=*/1);
+        ex.Check(setup.size() == 1, "setup claims entry 0 at step 1");
+        for (const ClaimTicket &ticket : setup)
+            FlushClaimed(queue, ticket, [](Key, const WriteRecord &) {});
+        RegisterRead(queue, st->entry(1), /*step=*/1);
+        RegisterRead(queue, st->entry(2), /*step=*/1);
+        RegisterRead(queue, st->entry(2), /*step=*/2);
+
+        const auto audit = [st](const char *who) {
+            check::ModelAssert(
+                st->queue.AuditInvariants(/*quiescent=*/false) == 0, who);
+        };
+        ex.Thread([st, count_under_lock] {
+            std::array<GEntry *, 3> late{};
+            st->queue.BeginBatch(3);
+            for (std::size_t i = 0; i < 3; ++i)
+                late[i] = RegisterRunBatched(st->queue, st->entry(i),
+                                             /*step=*/1, count_under_lock);
+            for (GEntry *entry : late) {
+                if (entry == nullptr)
+                    continue;
+                SpinGuard guard(entry->lock());
+                st->queue.EnqueueBatched(entry, entry->priorityLocked());
+            }
+            st->queue.PublishBatch();
+        });
+        ex.Thread([st, audit] {
+            std::vector<ClaimTicket> batch;
+            st->queue.DequeueClaim(batch, 4, /*shard_hint=*/0);
+            audit("flusher's mid-run audit found a negative count");
+            for (const ClaimTicket &ticket : batch) {
+                st->RecordClaim(ticket);
+                FlushClaimed(st->queue, ticket,
+                             [](Key, const WriteRecord &) {});
+            }
+            audit("flusher's mid-run audit found a negative count");
+        });
+        ex.Thread([st, audit] {
+            RegisterRead(st->queue, st->entry(1), /*step=*/2);
+            audit("prefetcher's mid-run audit found a negative count");
+        });
+        ex.Go();
+        // A violating run unwinds mid-protocol; only a clean variant's
+        // run must drain exactly.
+        if (count_under_lock)
+            st->CheckDrainedExactlyOnce(ex, /*expect_claims=*/3);
+    });
+}
+
+TEST(ModelCheckTwoLevelPQ, BatchedRegistrationVsFlushAndRead)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    const check::Result result = ExploreBatchedRegistration(
+        /*count_under_lock=*/true, DefaultOptions());
+    ReportExploration("BatchedRegistrationVsFlushAndRead", result);
+    EXPECT_TRUE(result.clean()) << result.first_violation;
+    EXPECT_GE(result.distinct_schedules, kDistinctTarget);
+}
+
+TEST(ModelCheckTwoLevelPQ, BatchedCountAfterPublishBugCaught)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    check::Options options = DefaultOptions();
+    options.stop_on_violation = true;
+    const check::Result result = ExploreBatchedRegistration(
+        /*count_under_lock=*/false, options);
+    ReportExploration("BatchedCountAfterPublishBugCaught", result);
+    ASSERT_GT(result.violations, 0u)
+        << "the explorer failed to catch a batch that raises its logical "
+           "counts after the pass: "
+        << result.Summary();
+    EXPECT_NE(result.first_violation.find("negative count"),
+              std::string::npos)
+        << result.first_violation;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <set>
 #include <thread>
 #include <vector>
@@ -103,6 +104,103 @@ TEST(AtomicSlotSetTest, ConcurrentInsertPopConservesElements)
     for (auto &t : tokens)
         ASSERT_EQ(t.load(), 1);
     EXPECT_TRUE(set.empty());
+}
+
+/** Asserts the quiescent slot accounting is exact. */
+template <typename T>
+void
+ExpectExactAccounting(const AtomicSlotSet<T> &set)
+{
+    const auto snap = set.AuditAccounting();
+    EXPECT_TRUE(snap.per_segment_consistent);
+    EXPECT_EQ(snap.announced - snap.popped, set.size());
+}
+
+TEST(AtomicSlotSetTest, InsertBatchKeepsFifoOrderAcrossSegments)
+{
+    // Four-slot segments, so the batches start at every offset within a
+    // segment and the larger ones span two or three segments.
+    AtomicSlotSet<int> set(/*segment_slots=*/4);
+    std::vector<int> values(200);
+    std::size_t next = 0;
+    // Single-threaded, PopAny takes the lowest occupied index, so the
+    // set behaves as a FIFO of what Insert and InsertBatch added.
+    std::deque<int *> expected;
+    const auto insert_one = [&] {
+        set.Insert(&values[next]);
+        expected.push_back(&values[next++]);
+    };
+    const auto insert_batch = [&](std::size_t n) {
+        std::vector<int *> batch;
+        for (std::size_t i = 0; i < n; ++i)
+            batch.push_back(&values[next + i]);
+        set.InsertBatch(batch.data(), n);
+        expected.insert(expected.end(), batch.begin(), batch.end());
+        next += n;
+    };
+    const auto pop_one = [&] {
+        ASSERT_FALSE(expected.empty());
+        EXPECT_EQ(set.PopAny(), expected.front());
+        expected.pop_front();
+    };
+    for (int round = 0; round < 3; ++round) {
+        for (const std::size_t n : {0, 1, 3, 4, 5, 11}) {
+            insert_one();
+            insert_batch(n);
+            pop_one();
+            EXPECT_EQ(set.size(), expected.size());
+            ExpectExactAccounting(set);
+        }
+    }
+    while (!expected.empty())
+        pop_one();
+    EXPECT_EQ(set.PopAny(), nullptr);
+    EXPECT_TRUE(set.empty());
+    ExpectExactAccounting(set);
+}
+
+TEST(AtomicSlotSetTest, ConcurrentBatchInserterRacesTwoPoppers)
+{
+    constexpr int kTokens = 30000;
+    AtomicSlotSet<std::atomic<int>> set(/*segment_slots=*/4);
+    std::vector<std::atomic<int>> tokens(kTokens);
+    for (auto &t : tokens)
+        t.store(0);
+
+    std::atomic<int> consumed{0};
+    std::atomic<bool> inserted{false};
+    std::thread inserter([&] {
+        std::vector<std::atomic<int> *> batch;
+        int next = 0;
+        for (std::size_t n = 0; next < kTokens; n = (n + 1) % 12) {
+            batch.clear();
+            for (std::size_t i = 0; i < n && next < kTokens; ++i)
+                batch.push_back(&tokens[next++]);
+            set.InsertBatch(batch.data(), batch.size());
+        }
+        inserted.store(true);
+    });
+    const auto popper = [&] {
+        while (!inserted.load() || !set.empty()) {
+            if (auto *p = set.PopAny()) {
+                p->fetch_add(1);
+                consumed++;
+            }
+        }
+    };
+    std::thread first(popper);
+    std::thread second(popper);
+    inserter.join();
+    first.join();
+    second.join();
+    EXPECT_EQ(consumed.load(), kTokens);
+    for (auto &t : tokens)
+        ASSERT_EQ(t.load(), 1);
+    EXPECT_TRUE(set.empty());
+    const auto snap = set.AuditAccounting();
+    EXPECT_TRUE(snap.per_segment_consistent);
+    EXPECT_EQ(snap.announced, static_cast<std::size_t>(kTokens));
+    EXPECT_EQ(snap.popped, static_cast<std::size_t>(kTokens));
 }
 
 TEST(AtomicSlotSetTest, SizeTracksOccupancy)

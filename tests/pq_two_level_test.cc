@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "pq/pq_ops.h"
@@ -249,6 +250,127 @@ TEST(TwoLevelPQTest, StandingEnqueueKeepsGateShutUntilApplied)
               1u);
     EXPECT_TRUE(gate_shut_while_applying);
     EXPECT_FALSE(q.HasPendingAtOrBelow(100));
+    EXPECT_EQ(q.SizeApprox(), 0u);
+}
+
+/** Gives `e` one pending write and, for a finite `read`, one read at
+ *  that step, marks it enqueued and returns its priority. */
+Priority
+MarkPendingLocked(GEntry &e, Step read) FRUGAL_REQUIRES(e.lock())
+{
+    if (read != kInfiniteStep)
+        e.AddReadLocked(read);
+    e.AddWriteLocked({0, 0, {}});
+    e.setEnqueuedLocked(true);
+    return e.priorityLocked();
+}
+
+TEST(TwoLevelPQTest, BatchedEnqueueMatchesPerEntryEnqueue)
+{
+    // Finite priorities inside the scan window, ∞, and priorities past
+    // the scan horizon that share a batch-window slot with earlier
+    // buckets (5, 69 and 133 all map to slot 5), so the batch publishes
+    // groups early as well as after the pass. The 40 entries at 3, the
+    // lowest bucket, also publish during the pass in urgent groups.
+    std::vector<Step> reads = {7,   kInfiniteStep, 5,  69, 5, 133,
+                               6,   kInfiniteStep, 69, 7,  5, 190,
+                               131, 6,             67, 3};
+    reads.insert(reads.end(), 39, 3);
+    TwoLevelPQConfig config = Config(200);
+    config.n_shards = 2;
+    TwoLevelPQ single(config), batched(config);
+    single.SetScanBounds(0, 10);
+    batched.SetScanBounds(0, 10);
+    std::vector<std::unique_ptr<GEntry>> a, b;
+    batched.BeginBatch(reads.size() + 3);  // the surplus is returned
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+        a.push_back(std::make_unique<GEntry>(static_cast<Key>(i)));
+        b.push_back(std::make_unique<GEntry>(static_cast<Key>(i)));
+        {
+            SpinGuard guard(a[i]->lock());
+            single.Enqueue(a[i].get(), MarkPendingLocked(*a[i], reads[i]));
+        }
+        SpinGuard guard(b[i]->lock());
+        batched.EnqueueBatched(b[i].get(), MarkPendingLocked(*b[i], reads[i]));
+    }
+    // The logical counts rose under the entry locks: the gate already
+    // agrees before the copies publish.
+    for (Step s = 0; s <= 200; ++s)
+        ASSERT_EQ(batched.HasPendingAtOrBelow(s), single.HasPendingAtOrBelow(s))
+            << "step " << s;
+    EXPECT_EQ(batched.SizeApprox(), reads.size() + 3);
+    batched.PublishBatch();
+    EXPECT_EQ(batched.SizeApprox(), single.SizeApprox());
+    // Per-bucket logical/in-flight counts, size and per-shard residency.
+    EXPECT_EQ(batched.DebugDump(), single.DebugDump());
+
+    // Same dequeue order: first within the scan horizon, then after it
+    // moves past every finite priority.
+    const auto drain_one = [&](std::size_t shard_hint) {
+        std::vector<ClaimTicket> x, y;
+        const std::size_t nx = single.DequeueClaim(x, 1, shard_hint);
+        const std::size_t ny = batched.DequeueClaim(y, 1, shard_hint);
+        EXPECT_EQ(nx, ny);
+        if (nx != 1 || ny != 1)
+            return false;
+        EXPECT_EQ(x[0].entry->key(), y[0].entry->key());
+        EXPECT_EQ(x[0].priority, y[0].priority);
+        FlushClaimed(single, x[0], [](Key, const WriteRecord &) {});
+        FlushClaimed(batched, y[0], [](Key, const WriteRecord &) {});
+        EXPECT_EQ(batched.DebugDump(), single.DebugDump());
+        return true;
+    };
+    std::size_t claimed = 0;
+    for (std::size_t hint = 0; claimed < 48 && drain_one(hint % 2); ++hint)
+        ++claimed;
+    single.SetScanBounds(0, 200);
+    batched.SetScanBounds(0, 200);
+    for (std::size_t hint = 0; drain_one(hint % 2); ++hint)
+        ++claimed;
+    EXPECT_EQ(claimed, reads.size());
+    EXPECT_EQ(batched.SizeApprox(), 0u);
+    EXPECT_EQ(single.AuditInvariants(/*quiescent=*/true), 0u);
+    EXPECT_EQ(batched.AuditInvariants(/*quiescent=*/true), 0u);
+}
+
+TEST(TwoLevelPQTest, StaleCopyClaimedBeforeBatchPublishes)
+{
+    // The entry's earlier ∞ residence left a stale copy in the ∞ bucket.
+    // A batch then enqueues it at ∞ again; a dequeuer pops the stale copy
+    // and claims the entry before the batch publishes its own copy, which
+    // the publish then leaves stale. The accounting must still balance.
+    TwoLevelPQ q(Config(10));
+    GEntry e(1);
+    RegisterUpdate(q, e, {0, 0, {}});  // priority ∞: copy in ∞
+    RegisterRead(q, e, 3);             // moves to 3; the ∞ copy is stale
+    std::vector<ClaimTicket> out;
+    ASSERT_EQ(q.DequeueClaimBelow(out, 1, 0, 3), 1u);
+    FlushClaimed(q, out[0], [](Key, const WriteRecord &) {});
+    ASSERT_EQ(q.SizeApprox(), 0u);
+
+    q.BeginBatch(1);
+    {
+        SpinGuard guard(e.lock());
+        const Priority before = e.priorityLocked();
+        e.RemoveReadLocked(3);
+        e.AddWriteLocked({3, 0, {}});
+        ASSERT_EQ(e.priorityLocked(), kInfiniteStep);
+        PropagatePriorityBatchedLocked(q, e, before, kInfiniteStep);
+        ASSERT_TRUE(e.enqueuedLocked());
+    }
+    out.clear();
+    ASSERT_EQ(q.DequeueClaim(out, 4), 1u);  // through the stale copy
+    EXPECT_EQ(out[0].entry, &e);
+    EXPECT_EQ(out[0].priority, kInfiniteStep);
+    EXPECT_EQ(q.AuditInvariants(/*quiescent=*/false), 0u);
+    EXPECT_EQ(FlushClaimed(q, out[0], [](Key, const WriteRecord &) {}), 1u);
+    q.PublishBatch();
+    EXPECT_EQ(q.SizeApprox(), 0u);
+    EXPECT_FALSE(q.HasPendingAtOrBelow(10));
+    // The published copy is stale: never claimed.
+    out.clear();
+    EXPECT_EQ(q.DequeueClaim(out, 4), 0u);
+    EXPECT_EQ(q.AuditInvariants(/*quiescent=*/true), 0u);
     EXPECT_EQ(q.SizeApprox(), 0u);
 }
 
