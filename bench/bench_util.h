@@ -1,10 +1,9 @@
 /**
  * @file
  * Scaffolding shared by the benches that emit a BENCH_*.json baseline
- * (bench_e2e_engine, bench_prefetch, bench_chaos, bench_cache_policy,
- * bench_hotpath): the metric record, the JSON writer whose output
- * scripts/check.sh diffs against the committed baseline, and the
- * `[--smoke] [--out PATH]` command line.
+ * (bench_prefetch, bench_chaos, bench_cache_policy): the metric record,
+ * the JSON writer whose output scripts/check.sh diffs against the
+ * committed baseline, and the `[--smoke] [--out PATH]` command line.
  */
 #ifndef FRUGAL_BENCH_BENCH_UTIL_H_
 #define FRUGAL_BENCH_BENCH_UTIL_H_

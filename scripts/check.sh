@@ -157,36 +157,13 @@ if ! ctest --preset default; then
     failures=$((failures + 1))
 fi
 
-# --- 4b. hot-path microbenchmark smoke + baseline diff -------------------
-# Runs bench_hotpath in smoke mode (small sizes, seconds) as a build/run
-# canary, then diffs the fresh metrics against the committed baseline
-# BENCH_hotpath.json (warn-only; see baseline_diff).
-note "bench_hotpath smoke + baseline diff (warn-only)"
-if ./build/bench/bench_hotpath --smoke --out build/BENCH_hotpath.json; then
-    baseline_diff bench_hotpath BENCH_hotpath.json
-else
-    failures=$((failures + 1))
-fi
-
-# --- 4c. end-to-end engine bench smoke + baseline diff -------------------
-# Same contract as 4b for bench_e2e_engine: a smoke run drives the *real*
-# engine (trainers, prefetcher, flush threads, the gate) across
-# the grid and exits non-zero if any cell trains a table that is not
-# bit-equal to the single-threaded oracle — that part is a hard gate.
-# The metric diff against the committed BENCH_e2e.json stays warn-only.
-note "bench_e2e_engine smoke + baseline diff (warn-only)"
-if ./build/bench/bench_e2e_engine --smoke --out build/BENCH_e2e.json; then
-    baseline_diff bench_e2e_engine BENCH_e2e.json
-else
-    failures=$((failures + 1))
-fi
-
 # --- 4c2. oracular-prefetch ablation smoke + baseline diff ---------------
-# Same contract as 4c for bench_prefetch: the smoke grid runs the engine
-# with oracular warming/eviction on and off across capacities and skews,
-# and exits non-zero if any cell's trained table is not bit-equal to the
-# oracle (hard gate). The diff against the committed BENCH_prefetch.json
-# stays warn-only — smoke sizes make throughput cells noisy by design.
+# A smoke run of bench_prefetch drives the real engine with oracular
+# warming/eviction on and off across capacities and skews, and exits
+# non-zero if any cell's trained table is not bit-equal to the oracle
+# (hard gate). The diff against the committed BENCH_prefetch.json stays
+# warn-only (see baseline_diff) — smoke sizes make throughput cells
+# noisy by design.
 note "bench_prefetch smoke + baseline diff (warn-only)"
 if ./build/bench/bench_prefetch --smoke --out build/BENCH_prefetch.json; then
     baseline_diff bench_prefetch BENCH_prefetch.json

@@ -67,9 +67,9 @@ the sleep `// retry-exempt: <why>` when it is genuinely not a retry
 (sampling period, injected test delay, idle self-wake).""",
     "hotpath-alloc": """\
 Allocation on a hot path: functions on the hot list (the engine's
-claim-apply path ApplyClaims/FlushEntryRun, the trainer's Gather, the
-prefetcher's PlanStep, the step boundary's RegisterStep and
-GEntry::AddWriteLocked, DrainBucket,
+claim-apply path ApplyClaims/FlushEntryRun and the PQ's shared
+FlushWritesLocked, the trainer's Gather, the prefetcher's PlanStep, the
+step boundary's RegisterStep and GEntry::AddWriteLocked, DrainBucket,
 GpuCache::TryGet/Put/UpdateIfPresent, the oracular warm/evict paths
 (WarmBegin/WarmCommit/WarmOne/EvictIfDead/PickVictimLocked), the row
 kernels) must not allocate directly or via a directly-called function.

@@ -75,9 +75,11 @@ LOCK_RANKS: Dict[str, int] = {
 HOT_FUNCTIONS = (
     # FrugalEngine flush data plane (Pipeline stages in frugal_engine.cc):
     # the one claim-apply path every flusher, gate-blocked trainer and
-    # watchdog reclaim runs, and the per-entry apply under it.
+    # watchdog reclaim runs, the per-entry apply under it, and the PQ's
+    # locked flush body (pq_ops.h) that apply shares with FlushClaimed.
     "Pipeline::ApplyClaims",
     "Pipeline::FlushEntryRun",
+    "FlushWritesLocked",
     "Pipeline::RefreshCache",
     # Trainer gather stage: cache probes, batched miss gather, refills;
     # and the emit stage: model callback into the GPU's reused board

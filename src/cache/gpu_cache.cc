@@ -18,7 +18,7 @@ GpuCache::GpuCache(std::size_t capacity_rows, std::size_t dim,
       next_use_(capacity_rows, kNoFutureUse),
       flags_(capacity_rows, 0),
       fill_stamp_(capacity_rows, 0),
-      sketch_(capacity_rows, options.sketch_seed),
+      sketch_(capacity_rows, kSketchSeed),
       seg_head_{kNilSlot, kNilSlot},
       seg_tail_{kNilSlot, kNilSlot},
       seg_size_{0, 0}
@@ -27,9 +27,6 @@ GpuCache::GpuCache(std::size_t capacity_rows, std::size_t dim,
     FRUGAL_CHECK_MSG(capacity_rows < kNilSlot,
                      "cache capacity exceeds the u32 slot index space");
     FRUGAL_CHECK_MSG(dim > 0, "embedding dimension must be positive");
-    FRUGAL_CHECK_MSG(options.hot_fraction > 0.0 &&
-                         options.hot_fraction <= 1.0,
-                     "hot_fraction must lie in (0, 1]");
     hot_capacity_ = HotCapacityFor(capacity_rows);
     // Thread all slots onto the free list, lowest index first.
     for (std::size_t i = capacity_rows; i-- > 0;) {
@@ -44,12 +41,8 @@ GpuCache::HotCapacityFor(std::size_t capacity) const
     if (!options_.segmented)
         return 0;
     auto cap = static_cast<std::size_t>(
-        static_cast<double>(capacity) * options_.hot_fraction);
-    if (cap == 0)
-        cap = 1;
-    if (cap > capacity)
-        cap = capacity;
-    return cap;
+        static_cast<double>(capacity) * kHotFraction);
+    return cap == 0 ? 1 : cap;
 }
 
 void

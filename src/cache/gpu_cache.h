@@ -89,12 +89,6 @@ struct GpuCacheOptions
     /** TinyLFU admission gate + beyond-horizon frequency ranking,
      *  backed by the decayed FreqSketch. */
     bool freq_admission = true;
-    /** Fraction of capacity protected as the hot segment. The classic
-     *  SLRU split: large enough to hold the proven working set, small
-     *  enough that probation stays meaningful. */
-    double hot_fraction = 0.8;
-    /** Seed for the sketch's row hashes (determinism across runs). */
-    std::uint64_t sketch_seed = 0x5eedf4e95eedf4e9ULL;
 };
 
 /** Statistics counters of one cache. */
@@ -361,6 +355,16 @@ class GpuCache
   private:
     /** Slot index sentinel (list end / no free slot). */
     static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
+
+    /** Fraction of capacity protected as the hot segment. The classic
+     *  SLRU split: large enough to hold the proven working set, small
+     *  enough that probation stays meaningful. */
+    static constexpr double kHotFraction = 0.8;
+    static_assert(kHotFraction > 0.0 && kHotFraction <= 1.0,
+                  "the hot fraction must lie in (0, 1]");
+
+    /** Seed for the sketch's row hashes (determinism across runs). */
+    static constexpr std::uint64_t kSketchSeed = 0x5eedf4e95eedf4e9ULL;
 
     /** Victim scan is bounded: Belady *within the scan window* keeps
      *  eviction O(1); beyond it the policy degrades gracefully to

@@ -89,9 +89,9 @@ class StatAccumulator
  *
  * Default resolution: 5% buckets (growth 1.05) spanning 1 ns .. ~700 s
  * in 560 buckets. The previous 25% buckets (growth 1.25) collapsed
- * nearby tail percentiles onto one bucket boundary — BENCH_e2e.json
- * cells reported byte-identical p50/p95 values across unrelated
- * configurations, hiding any sub-25% tail regression.
+ * nearby tail percentiles onto one bucket boundary — flush-lag
+ * p50/p95 values read byte-identical across unrelated configurations,
+ * hiding any sub-25% tail regression.
  */
 class Histogram
 {

@@ -65,19 +65,7 @@ class GEntryRegistry
     {
         Shard &shard = ShardFor(key);
         SpinGuard guard(shard.lock);
-        auto [entry, inserted] = shard.entries.TryEmplace(key, nullptr);
-        if (inserted) {
-            // A throwing arena growth (injected kAllocFailure) must not
-            // leave the placeholder behind: erase it so the shard keeps
-            // the strong guarantee and the caller can simply retry.
-            try {
-                *entry = shard.arena.Create(key);
-            } catch (...) {
-                shard.entries.Erase(key);
-                throw;
-            }
-        }
-        return **entry;
+        return *GetOrCreateLocked(shard, key);
     }
 
     /**
@@ -114,21 +102,9 @@ class GEntryRegistry
             for (; i < n && grouped[i] >> 32 == shard_id; ++i) {
                 const auto idx =
                     static_cast<std::size_t>(grouped[i] & 0xffffffffu);
-                auto [entry, inserted] =
-                    shard.entries.TryEmplace(keys[idx], nullptr);
-                if (inserted) {
-                    // See GetOrCreate: roll the placeholder back on a
-                    // throwing growth. Keys already resolved stay
-                    // resolved (per-key atomicity); rerunning the batch
-                    // converges.
-                    try {
-                        *entry = shard.arena.Create(keys[idx]);
-                    } catch (...) {
-                        shard.entries.Erase(keys[idx]);
-                        throw;
-                    }
-                }
-                out[idx] = *entry;
+                // On a throw, the keys resolved so far stay resolved
+                // (per-key atomicity); rerunning the batch converges.
+                out[idx] = GetOrCreateLocked(shard, keys[idx]);
             }
         }
     }
@@ -219,6 +195,26 @@ class GEntryRegistry
 
         Shard() : arena(256) {}
     };
+
+    /** Returns `key`'s entry in `shard`, creating it if absent — one
+     *  probe walk either way. A throwing arena growth (injected
+     *  kAllocFailure) must not leave the placeholder behind: it is
+     *  erased, so the shard keeps the strong guarantee and the caller
+     *  can simply retry. */
+    static GEntry *
+    GetOrCreateLocked(Shard &shard, Key key) FRUGAL_REQUIRES(shard.lock)
+    {
+        auto [entry, inserted] = shard.entries.TryEmplace(key, nullptr);
+        if (inserted) {
+            try {
+                *entry = shard.arena.Create(key);
+            } catch (...) {
+                shard.entries.Erase(key);
+                throw;
+            }
+        }
+        return *entry;
+    }
 
     Shard &
     ShardFor(Key key)

@@ -14,17 +14,19 @@
  *    boundary performs the same transition once per key run, in one
  *    lock hold, enqueuing through TwoLevelPQ's batch
  *    (PropagatePriorityBatchedLocked, Pipeline::RegisterStep).
- *  - FlushClaimed / TakeClaimedWrites: a flush thread owns a claimed
- *    entry ⇒ apply (or detach) its W set in canonical (step, src) order.
+ *  - FlushClaimed: a flush thread owns a claimed entry ⇒ apply its W
+ *    set in canonical (step, src) order. Its locked body,
+ *    FlushWritesLocked, is also the engine's (Pipeline::FlushEntryRun).
  *
- * Each helper takes the entry lock internally; the FlushQueue methods it
- * calls are specified to run under that lock.
+ * Each helper takes the entry lock internally, except the *Locked ones,
+ * whose caller holds it; the FlushQueue methods they call are specified
+ * to run under that lock.
  */
 #ifndef FRUGAL_PQ_PQ_OPS_H_
 #define FRUGAL_PQ_PQ_OPS_H_
 
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "pq/flush_queue.h"
 #include "pq/g_entry.h"
@@ -100,6 +102,54 @@ RegisterUpdate(FlushQueue &queue, GEntry &entry, const WriteRecord &record,
 }
 
 /**
+ * The locked body of every flush of one claimed entry, shared by
+ * FlushClaimed and the engine's Pipeline::FlushEntryRun: sorts the W
+ * set into canonical (step, src) order, hands the entry and the sorted
+ * run to `apply_run` (the row write and whatever must land before the
+ * gate opens, e.g. the owner's cache refresh), retires a standing
+ * enqueue, then clears the W set keeping its capacity. An empty W set
+ * (a second ticket for an already-flushed entry) returns 0. Templated
+ * on the queue so TwoLevelPQ's calls stay direct.
+ *
+ * One entry-lock hold pins the per-key application order to
+ * lock-acquisition order: a second flush thread that claims the
+ * entry's newer writes can only apply them after this one releases the
+ * lock, so every row sees the canonical (step, src) order.
+ *
+ * @return the number of records applied.
+ */
+template <typename Queue, typename ApplyRunFn>
+std::size_t
+FlushWritesLocked(Queue &queue, GEntry &entry, ApplyRunFn &&apply_run)
+    FRUGAL_REQUIRES(entry.lock())
+{
+    const std::span<const WriteRecord> writes = entry.SortWritesLocked();
+    if (writes.empty()) {
+        // Only entries with pending writes are ever enqueued.
+        FRUGAL_DCHECK(!entry.enqueuedLocked());
+        return 0;
+    }
+    apply_run(entry, writes);
+    // A step registration may have added writes and re-enqueued the
+    // entry between our claim and this point (or the prefetch thread
+    // gave a claimed ∞-priority entry a read). Those writes were just
+    // applied as well, so the standing enqueue must be retired —
+    // otherwise it would survive as a zombie whose logical count never
+    // drains (the queue would never look empty again). It goes only
+    // now: until the row is written, its logical count is what keeps
+    // the reading step's gate shut, since this claim's in-flight count
+    // may sit in a later bucket (e.g. ∞).
+    if (entry.enqueuedLocked()) {
+        const Priority standing = entry.priorityLocked();
+        entry.setEnqueuedLocked(false);
+        queue.Unenqueue(&entry, standing);
+    }
+    const std::size_t applied = writes.size();
+    entry.ClearWritesLocked();
+    return applied;
+}
+
+/**
  * Full flush of one claimed entry: applies its pending writes in place
  * through `apply` (called once per record, in canonical order), invokes
  * `post(key)` once if anything was applied, clears the W set, then
@@ -108,12 +158,6 @@ RegisterUpdate(FlushQueue &queue, GEntry &entry, const WriteRecord &record,
  * recorded in its W set to host memory"). Frugal's flush threads use the
  * post hook to copy the committed host row into the owner GPU's cache
  * ("H2D"), which must complete before the gate may open.
- *
- * Applying under one entry-lock hold also pins the per-key application
- * order to lock-acquisition order: if a second flush thread claims the
- * entry's newer writes concurrently, it can only apply them after this
- * one releases the lock, so a row's update sequence is always the
- * canonical (step, src) order.
  *
  * @return the number of records applied.
  */
@@ -126,28 +170,13 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply,
     std::size_t applied = 0;
     {
         SpinGuard guard(entry.lock());
-        for (const WriteRecord &record : entry.SortWritesLocked()) {
-            apply(entry.key(), record);
-            ++applied;
-        }
-        if (applied > 0)
-            post(entry.key());
-        // A step registration may have added writes and re-enqueued the
-        // entry between our claim and this point (or the prefetch thread
-        // gave a claimed ∞-priority entry a read). Those writes were just
-        // applied as well, so the standing enqueue must be retired —
-        // otherwise it would survive as a zombie whose logical count
-        // never drains (the queue would never look empty again). It goes
-        // only now: until the row is written, its logical count is what
-        // keeps the reading step's gate shut, since this claim's
-        // in-flight count may sit in a later bucket.
-        if (entry.enqueuedLocked()) {
-            const Priority standing = entry.priorityLocked();
-            entry.setEnqueuedLocked(false);
-            queue.Unenqueue(&entry, standing);
-        }
-        if (applied > 0)
-            entry.ClearWritesLocked();
+        applied = FlushWritesLocked(
+            queue, entry,
+            [&](GEntry &claimed, std::span<const WriteRecord> writes) {
+                for (const WriteRecord &record : writes)
+                    apply(claimed.key(), record);
+                post(claimed.key());
+            });
     }
     queue.OnFlushed(ticket);
     return applied;
@@ -160,18 +189,6 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply)
 {
     return FlushClaimed(queue, ticket, std::forward<ApplyFn>(apply),
                         [](Key) {});
-}
-
-/**
- * Flush-side transition: detaches the claimed entry's pending writes,
- * sorted by (step, src) — the order FlushClaimed applies them in.
- */
-inline std::vector<WriteRecord>
-TakeClaimedWrites(GEntry &entry)
-{
-    SpinGuard guard(entry.lock());
-    entry.SortWritesLocked();
-    return entry.TakeWritesLocked();
 }
 
 }  // namespace frugal

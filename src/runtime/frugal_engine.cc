@@ -1238,62 +1238,45 @@ class Pipeline
     }
 
     /**
-     * Applies one claimed entry's whole W set in place, inside one
-     * entry-lock critical section: sort the records into canonical
-     * (step, src) order, commit them with a single row-lock acquisition
-     * (ApplyGradients), refresh the owner's cache, retire a standing
-     * (zombie) enqueue, then clear the W set keeping its capacity. A
-     * concurrent claim of the same entry's newer writes can only apply
-     * after this releases the lock, so every row sees its updates in the
-     * canonical order no matter who applies them. The caller retires
-     * the tickets afterwards (a key run may cover several tickets for
-     * the same entry, each retiring its own claim).
+     * Applies one claimed entry's whole W set through the PQ's shared
+     * flush body (FlushWritesLocked), committing the sorted run with a
+     * single row-lock acquisition (ApplyGradients) and refreshing the
+     * owner's cache. The caller retires the tickets afterwards (a key
+     * run may cover several tickets for the same entry, each retiring
+     * its own claim).
      * @return the number of records applied.
      */
     std::size_t
     FlushEntryRun(GEntry &entry, LagSampler *lag)
     {
         SpinGuard guard(entry.lock());
-        const std::span<const WriteRecord> writes = entry.SortWritesLocked();
-        if (writes.empty()) {
-            // Only entries with pending writes are ever enqueued.
-            FRUGAL_DCHECK(!entry.enqueuedLocked());
-            return 0;
-        }
-        const Key key = entry.key();
-        // One transient-fault check per record; only the row writes
-        // themselves are batched after it.
-        // spin-block-ok: deliberate — the retry backoff sleeps under
-        // the g-entry lock so a write storm delays only this key (see
-        // AwaitHostWrite); contention on one entry's lock is rare.
-        for (std::size_t r = 0; r < writes.size(); ++r)
-            // spin-block-ok: see rationale above the loop.
-            AwaitHostWrite(key);
-        thread_local std::vector<const float *> grad_ptrs;
-        grad_ptrs.clear();
-        for (const WriteRecord &record : writes)
-            // alloc-ok: thread_local scratch; capacity amortizes across
-            // entry runs (clear() keeps it), so growth is one-time.
-            grad_ptrs.push_back(entry.gradLocked(record));
-        table_.ApplyGradients(key, grad_ptrs.data(), writes.size(),
-                              optimizer_);
-        RefreshCache(key);
-        if (lag != nullptr)
-            lag->Record(writes.front().staged);
-        const std::size_t applied = writes.size();
-        if (entry.enqueuedLocked()) {
-            // Same zombie-retire rule as FlushClaimed: the writes behind
-            // a standing enqueue were applied above, so it goes — only
-            // now, because its logical count is what keeps the gate of
-            // the step that reads this row shut while the row is written
-            // (the claim's own in-flight count may sit in a later
-            // bucket, e.g. ∞).
-            const Priority standing = entry.priorityLocked();
-            entry.setEnqueuedLocked(false);
-            queue_.Unenqueue(&entry, standing);
-        }
-        entry.ClearWritesLocked();
-        return applied;
+        return FlushWritesLocked(
+            queue_, entry,
+            [&](GEntry &claimed, std::span<const WriteRecord> writes)
+                FRUGAL_REQUIRES(claimed.lock()) {
+                const Key key = claimed.key();
+                // One transient-fault check per record; only the row
+                // writes themselves are batched after it.
+                // spin-block-ok: deliberate — the retry backoff sleeps
+                // under the g-entry lock so a write storm delays only
+                // this key (see AwaitHostWrite); contention on one
+                // entry's lock is rare.
+                for (std::size_t r = 0; r < writes.size(); ++r)
+                    // spin-block-ok: see rationale above the loop.
+                    AwaitHostWrite(key);
+                thread_local std::vector<const float *> grad_ptrs;
+                grad_ptrs.clear();
+                for (const WriteRecord &record : writes)
+                    // alloc-ok: thread_local scratch; capacity amortizes
+                    // across entry runs (clear() keeps it), so growth is
+                    // one-time.
+                    grad_ptrs.push_back(claimed.gradLocked(record));
+                table_.ApplyGradients(key, grad_ptrs.data(), writes.size(),
+                                      optimizer_);
+                RefreshCache(key);
+                if (lag != nullptr)
+                    lag->Record(writes.front().staged);
+            });
     }
 
     /**

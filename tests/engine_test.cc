@@ -27,6 +27,7 @@ struct EngineCase
     double zipf_theta;  // 0 = uniform
     std::size_t lookahead;
     std::string optimizer;
+    bool oracular = true;  // false names the case with a `_plain` suffix
 };
 
 class EngineOracleTest : public ::testing::TestWithParam<EngineCase>
@@ -44,6 +45,7 @@ ConfigFor(const EngineCase &c)
     config.lookahead = c.lookahead;
     config.flush_threads = c.flush_threads;
     config.optimizer = c.optimizer;
+    config.oracular_prefetch = c.oracular;
     config.learning_rate = 0.05f;
     config.audit_consistency = true;
     return config;
@@ -126,6 +128,18 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{"frugal", 8, 4, 0.05, 0.9, 10, "sgd"},
         EngineCase{"frugal", 2, 2, 0.20, 0.0, 10, "adagrad"},
         EngineCase{"frugal", 5, 1, 0.01, 0.9, 3, "adagrad"},
+        // Plain mode (oracular prefetch off) over {1, 2, 4} trainers ×
+        // {1, 2, 4} flushers: every flush refreshes the owner's cache
+        // through UpdateIfPresent, with no warming.
+        EngineCase{"frugal", 1, 1, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 1, 2, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 1, 4, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 2, 1, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 2, 2, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 2, 4, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 4, 1, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 4, 2, 0.05, 0.99, 10, "sgd", false},
+        EngineCase{"frugal", 4, 4, 0.05, 0.99, 10, "sgd", false},
         // Baselines.
         EngineCase{"frugal-sync", 2, 0, 0.05, 0.9, 10, "sgd"},
         EngineCase{"frugal-sync", 4, 0, 0.05, 0.0, 10, "adagrad"},
@@ -143,7 +157,7 @@ INSTANTIATE_TEST_SUITE_P(
                            std::to_string(static_cast<int>(
                                c.zipf_theta * 100)) +
                            "_L" + std::to_string(c.lookahead) + "_" +
-                           c.optimizer;
+                           c.optimizer + (c.oracular ? "" : "_plain");
         for (char &ch : name)
             if (ch == '-')
                 ch = '_';

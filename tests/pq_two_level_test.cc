@@ -162,7 +162,7 @@ TEST(TwoLevelPQTest, ReEnqueueAfterFlush)
     EXPECT_EQ(out[0].entry, &e);
 }
 
-TEST(TwoLevelPQTest, TakeClaimedWritesSortsByStepThenSrc)
+TEST(TwoLevelPQTest, FlushClaimedAppliesByStepThenSrc)
 {
     TwoLevelPQ q(Config(100));
     GEntry e(1);
@@ -172,7 +172,12 @@ TEST(TwoLevelPQTest, TakeClaimedWritesSortsByStepThenSrc)
     RegisterUpdate(q, e, {2, 3, {}});
     std::vector<ClaimTicket> out;
     ASSERT_EQ(q.DequeueClaim(out, 1), 1u);
-    auto writes = TakeClaimedWrites(*out[0].entry);
+    std::vector<WriteRecord> writes;
+    EXPECT_EQ(FlushClaimed(q, out[0],
+                           [&](Key, const WriteRecord &record) {
+                               writes.push_back(record);
+                           }),
+              3u);
     ASSERT_EQ(writes.size(), 3u);
     EXPECT_EQ(writes[0].step, 2u);
     EXPECT_EQ(writes[1].step, 7u);
