@@ -157,6 +157,20 @@ if ! ctest --preset default; then
     failures=$((failures + 1))
 fi
 
+# --- 4a. native-ISA kernels -------------------------------------------
+# The bit-exact SIMD kernels (row kernels, the MLP's lane kernel sets)
+# again under the release-lto preset: -O3, LTO and -march=native, where
+# the compiler may use FMA and every vector extension of the host. The
+# MLP's lanes must still match its scalar reference byte for byte.
+# Only the two `kernels` binaries are built.
+note "native-ISA kernels (preset: release-lto, ctest -L kernels)"
+cmake --preset release-lto >/dev/null
+cmake --build --preset release-lto -j "$(nproc)" \
+    --target models_test table_row_kernels_test
+if ! ctest --test-dir build-release-lto -L kernels; then
+    failures=$((failures + 1))
+fi
+
 # --- 4c2. oracular-prefetch ablation smoke + baseline diff ---------------
 # A smoke run of bench_prefetch drives the real engine with oracular
 # warming/eviction on and off across capacities and skews, and exits

@@ -133,17 +133,34 @@ HOT_FUNCTIONS = (
     "SgdBody",
     "AdagradBody",
     # Batched MLP (models/mlp.cc, DESIGN.md §8): the DLRM grad callback,
-    # the block forward/backward and its kernels, and the step hook's
-    # fused all-reduce. Their scratch is sized at construction.
+    # the block forward/backward, the step hook's fused all-reduce, and
+    # the lane kernels: the templated bodies and the entry points of
+    # both kernel sets (models/mlp_kernels.h). Their scratch is sized at
+    # construction.
     "DlrmModel::TrainSubBatch",
     "Mlp::TrainBatch",
     "Mlp::TrainBlock",
     "Mlp::ForwardBlock",
     "Mlp::PredictBatch",
-    "ForwardLayer",
-    "BackwardInputs",
-    "AccumulateGradients",
     "ReplicatedMlp::AllReduceAndStep",
+    "ForwardRows",
+    "ForwardLayer",
+    "BackwardColumns",
+    "BackwardInputs",
+    "AccumulateRun",
+    "AccumulateGradients",
+    "AddInto",
+    "Descend",
+    "ForwardLayerPortable",
+    "BackwardInputsPortable",
+    "AccumulateGradientsPortable",
+    "AddIntoPortable",
+    "DescendPortable",
+    "ForwardLayerAvx2",
+    "BackwardInputsAvx2",
+    "AccumulateGradientsAvx2",
+    "AddIntoAvx2",
+    "DescendAvx2",
 )
 
 

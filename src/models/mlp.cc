@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "models/mlp_kernels.h"
 
 namespace frugal {
 
@@ -27,167 +28,244 @@ BceLoss(float p, float label)
 // ---------------------------------------------------------------------
 // Batched kernels (DESIGN.md §8, "Batched MLP kernels"). A block holds
 // Mlp::kLanes examples; activations and deltas are [feature][lane], so
-// one F4 holds one feature of four examples. Each lane performs the
-// scalar reference's operations in the reference's order: no sum is
-// split or reassociated, only interleaved with the other lanes' sums.
+// one lane vector V holds one feature of the block's eight examples.
+// Each lane performs the scalar reference's operations in the
+// reference's order: no sum is split or reassociated, only interleaved
+// with the other lanes' sums.
+//
+// The kernels are written once, as templates over V, and instantiated
+// as two sets (models/mlp_kernels.h): the portable set on two SSE
+// vectors, the AVX2 set on one 8-float vector. The templates are always
+// inlined into each set's entry points, which carry the set's
+// instruction set; no function signature carries an 8-float vector, so
+// none depends on the AVX calling convention.
 // ---------------------------------------------------------------------
 
 constexpr std::size_t kLanes = Mlp::kLanes;
 
-/** Four floats, element-wise arithmetic (GCC/Clang vector extension).
- *  A block's lanes are two of them: lanes 0-3 and lanes 4-7. */
 typedef float F4 __attribute__((vector_size(16)));
-static_assert(kLanes == 2 * sizeof(F4) / sizeof(float));
+typedef float F8 __attribute__((vector_size(32)));
 
-inline F4
-Load4(const float *p)
+/** The portable set's lane vector: lanes 0-3 and lanes 4-7. */
+struct F4x2
 {
-    F4 v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
+    F4 lo, hi;
+};
+static_assert(sizeof(F4x2) == kLanes * sizeof(float));
+static_assert(sizeof(F8) == kLanes * sizeof(float));
+
+inline F4x2
+operator*(float s, const F4x2 &v)
+{
+    return {s * v.lo, s * v.hi};
 }
 
-inline void
-Store4(float *p, F4 v)
+inline F4x2 &
+operator+=(F4x2 &a, const F4x2 &b)
+{
+    a.lo += b.lo;
+    a.hi += b.hi;
+    return a;
+}
+
+inline F4x2 &
+operator-=(F4x2 &a, const F4x2 &b)
+{
+    a.lo -= b.lo;
+    a.hi -= b.hi;
+    return a;
+}
+
+[[gnu::always_inline]] inline void
+Load(F4x2 &v, const float *p)
+{
+    std::memcpy(&v.lo, p, sizeof v.lo);
+    std::memcpy(&v.hi, p + 4, sizeof v.hi);
+}
+
+[[gnu::always_inline]] inline void
+Load(F8 &v, const float *p)
+{
+    std::memcpy(&v, p, sizeof v);
+}
+
+[[gnu::always_inline]] inline void
+Store(float *p, const F4x2 &v)
+{
+    std::memcpy(p, &v.lo, sizeof v.lo);
+    std::memcpy(p + 4, &v.hi, sizeof v.hi);
+}
+
+[[gnu::always_inline]] inline void
+Store(float *p, const F8 &v)
 {
     std::memcpy(p, &v, sizeof v);
 }
 
-inline F4
-Splat4(float s)
+[[gnu::always_inline]] inline void
+Splat(F4x2 &v, float s)
 {
-    return F4{s, s, s, s};
+    v.lo = F4{s, s, s, s};
+    v.hi = v.lo;
 }
 
-/** Sums per register block (output rows forward, input columns
- *  backward): kRows × kLanes accumulators take 8 of the 16 SSE
- *  registers, leaving room for the operands. */
-constexpr std::size_t kRows = 4;
+/** Built from two 4-float splats: GCC's 8-float constructor, written
+ *  outside AVX code, draws a false -Wmaybe-uninitialized under TSan. */
+[[gnu::always_inline]] inline void
+Splat(F8 &v, float s)
+{
+    const F4 half = {s, s, s, s};
+    v = __builtin_shufflevector(half, half, 0, 1, 2, 3, 4, 5, 6, 7);
+}
 
-/** out[o][lane] = b[o] + Σ_i w[o][i]·in[i][lane], i ascending (the
- *  reference's dot product per lane). */
-void
+/** Floats per lane vector; also the width of the element-wise loops. */
+template <class V>
+constexpr std::size_t kWidth = sizeof(V) / sizeof(float);
+
+/** Register blocking, one V accumulator per row or column. kRows: output
+ *  rows per forward block and input columns per backward block; in
+ *  either set they take 8 of the 16 vector registers. kGradVectors: V
+ *  per weight-gradient run along i, 16 floats portable and 32 AVX2 (on
+ *  a TrainBatch microbenchmark faster than 16 and level with 48, which
+ *  leaves tails on DLRM's widths). */
+template <class V>
+constexpr std::size_t kRows = 4;
+template <>
+constexpr std::size_t kRows<F8> = 8;
+template <class V>
+constexpr std::size_t kGradVectors = 2;
+template <>
+constexpr std::size_t kGradVectors<F8> = 4;
+
+/** Forward rows o..o+R of out[o][lane] = b[o] + Σ_i w[o][i]·in[i][lane],
+ *  i ascending (the reference's dot product per lane); `w`, `b` and
+ *  `out` point at row o. */
+template <class V, std::size_t R>
+[[gnu::always_inline]] inline void
+ForwardRows(const float *__restrict w, const float *__restrict b,
+            const float *__restrict in, float *__restrict out,
+            std::size_t n_in)
+{
+    V z[R];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+        Splat(z[r], b[r]);
+    for (std::size_t i = 0; i < n_in; ++i) {
+        V x;
+        Load(x, in + i * kLanes);
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < R; ++r)
+            z[r] += w[r * n_in + i] * x;
+    }
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+        Store(out + r * kLanes, z[r]);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void
 ForwardLayer(const float *__restrict w, const float *__restrict b,
              const float *__restrict in, float *__restrict out,
              std::size_t n_in, std::size_t n_out)
 {
+    constexpr std::size_t R = kRows<V>;
     std::size_t o = 0;
-    for (; o + kRows <= n_out; o += kRows) {
-        const float *w0 = w + o * n_in;
-        const float *w1 = w0 + n_in;
-        const float *w2 = w1 + n_in;
-        const float *w3 = w2 + n_in;
-        F4 z0a = Splat4(b[o]), z0b = z0a;
-        F4 z1a = Splat4(b[o + 1]), z1b = z1a;
-        F4 z2a = Splat4(b[o + 2]), z2b = z2a;
-        F4 z3a = Splat4(b[o + 3]), z3b = z3a;
-        for (std::size_t i = 0; i < n_in; ++i) {
-            const F4 xa = Load4(in + i * kLanes);
-            const F4 xb = Load4(in + i * kLanes + 4);
-            z0a += w0[i] * xa;
-            z0b += w0[i] * xb;
-            z1a += w1[i] * xa;
-            z1b += w1[i] * xb;
-            z2a += w2[i] * xa;
-            z2b += w2[i] * xb;
-            z3a += w3[i] * xa;
-            z3b += w3[i] * xb;
-        }
-        float *dst = out + o * kLanes;
-        Store4(dst, z0a);
-        Store4(dst + 4, z0b);
-        Store4(dst + 8, z1a);
-        Store4(dst + 12, z1b);
-        Store4(dst + 16, z2a);
-        Store4(dst + 20, z2b);
-        Store4(dst + 24, z3a);
-        Store4(dst + 28, z3b);
+    for (; o + R <= n_out; o += R) {
+        ForwardRows<V, R>(w + o * n_in, b + o, in, out + o * kLanes,
+                          n_in);
     }
-    for (; o < n_out; ++o) {
-        const float *wr = w + o * n_in;
-        F4 za = Splat4(b[o]), zb = za;
-        for (std::size_t i = 0; i < n_in; ++i) {
-            za += wr[i] * Load4(in + i * kLanes);
-            zb += wr[i] * Load4(in + i * kLanes + 4);
-        }
-        Store4(out + o * kLanes, za);
-        Store4(out + o * kLanes + 4, zb);
-    }
+    for (; o < n_out; ++o)
+        ForwardRows<V, 1>(w + o * n_in, b + o, in, out + o * kLanes, n_in);
 }
 
-/** delta_in[i][lane] = Σ_o delta[o][lane]·w[o][i], o ascending from +0
- *  (the reference's delta_next sums per lane). */
-void
+/** Input columns i..i+R of delta_in[i][lane] = Σ_o delta[o][lane]·w[o][i],
+ *  o ascending from +0 (the reference's delta_next sums per lane); `w`
+ *  and `delta_in` point at column i. */
+template <class V, std::size_t R>
+[[gnu::always_inline]] inline void
+BackwardColumns(const float *__restrict w, const float *__restrict delta,
+                float *__restrict delta_in, std::size_t n_in,
+                std::size_t n_out)
+{
+    V s[R] = {};
+    for (std::size_t o = 0; o < n_out; ++o) {
+        V d;
+        Load(d, delta + o * kLanes);
+        const float *wr = w + o * n_in;
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < R; ++r)
+            s[r] += wr[r] * d;
+    }
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+        Store(delta_in + r * kLanes, s[r]);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void
 BackwardInputs(const float *__restrict w, const float *__restrict delta,
                float *__restrict delta_in, std::size_t n_in,
                std::size_t n_out)
 {
+    constexpr std::size_t R = kRows<V>;
     std::size_t i = 0;
-    for (; i + kRows <= n_in; i += kRows) {
-        F4 s0a{}, s0b{}, s1a{}, s1b{}, s2a{}, s2b{}, s3a{}, s3b{};
-        for (std::size_t o = 0; o < n_out; ++o) {
-            const F4 da = Load4(delta + o * kLanes);
-            const F4 db = Load4(delta + o * kLanes + 4);
-            const float *wr = w + o * n_in + i;
-            s0a += da * wr[0];
-            s0b += db * wr[0];
-            s1a += da * wr[1];
-            s1b += db * wr[1];
-            s2a += da * wr[2];
-            s2b += db * wr[2];
-            s3a += da * wr[3];
-            s3b += db * wr[3];
-        }
-        float *dst = delta_in + i * kLanes;
-        Store4(dst, s0a);
-        Store4(dst + 4, s0b);
-        Store4(dst + 8, s1a);
-        Store4(dst + 12, s1b);
-        Store4(dst + 16, s2a);
-        Store4(dst + 20, s2b);
-        Store4(dst + 24, s3a);
-        Store4(dst + 28, s3b);
+    for (; i + R <= n_in; i += R) {
+        BackwardColumns<V, R>(w + i, delta, delta_in + i * kLanes, n_in,
+                              n_out);
     }
     for (; i < n_in; ++i) {
-        F4 sa{}, sb{};
-        for (std::size_t o = 0; o < n_out; ++o) {
-            sa += Load4(delta + o * kLanes) * w[o * n_in + i];
-            sb += Load4(delta + o * kLanes + 4) * w[o * n_in + i];
-        }
-        Store4(delta_in + i * kLanes, sa);
-        Store4(delta_in + i * kLanes + 4, sb);
+        BackwardColumns<V, 1>(w + i, delta, delta_in + i * kLanes, n_in,
+                              n_out);
     }
+}
+
+/** g[i] += d[e]·rows[e][i] over K vectors of i, for the lanes e < `lanes`
+ *  in order: K independent chains. */
+template <class V, std::size_t K>
+[[gnu::always_inline]] inline void
+AccumulateRun(float *__restrict g, const float *__restrict d,
+              const float *__restrict rows, std::size_t n_in,
+              std::size_t lanes)
+{
+    constexpr std::size_t W = kWidth<V>;
+    V a[K];
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < K; ++k)
+        Load(a[k], g + k * W);
+    for (std::size_t e = 0; e < lanes; ++e) {
+        const float *r = rows + e * n_in;
+#pragma GCC unroll 16
+        for (std::size_t k = 0; k < K; ++k) {
+            V x;
+            Load(x, r + k * W);
+            a[k] += d[e] * x;
+        }
+    }
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < K; ++k)
+        Store(g + k * W, a[k]);
 }
 
 /** gw[o][i] += delta[o][e]·rows[e][i] and gb[o] += delta[o][e] for the
  *  lanes e < `lanes` in order: the reference's per-example
- *  accumulation, vectorised over 16 i at a time (four independent
- *  chains). */
-void
+ *  accumulation, vectorised over i. */
+template <class V>
+[[gnu::always_inline]] inline void
 AccumulateGradients(float *__restrict gw, float *__restrict gb,
                     const float *__restrict delta,
                     const float *__restrict rows, std::size_t n_in,
                     std::size_t n_out, std::size_t lanes)
 {
+    constexpr std::size_t W = kWidth<V>;
+    constexpr std::size_t K = kGradVectors<V>;
     for (std::size_t o = 0; o < n_out; ++o) {
         float *g = gw + o * n_in;
         const float *d = delta + o * kLanes;
         std::size_t i = 0;
-        for (; i + 16 <= n_in; i += 16) {
-            F4 a0 = Load4(g + i), a1 = Load4(g + i + 4);
-            F4 a2 = Load4(g + i + 8), a3 = Load4(g + i + 12);
-            for (std::size_t e = 0; e < lanes; ++e) {
-                const float *r = rows + e * n_in + i;
-                a0 += d[e] * Load4(r);
-                a1 += d[e] * Load4(r + 4);
-                a2 += d[e] * Load4(r + 8);
-                a3 += d[e] * Load4(r + 12);
-            }
-            Store4(g + i, a0);
-            Store4(g + i + 4, a1);
-            Store4(g + i + 8, a2);
-            Store4(g + i + 12, a3);
-        }
+        for (; i + K * W <= n_in; i += K * W)
+            AccumulateRun<V, K>(g + i, d, rows + i, n_in, lanes);
+        for (; i + W <= n_in; i += W)
+            AccumulateRun<V, 1>(g + i, d, rows + i, n_in, lanes);
         for (; i < n_in; ++i) {
             float acc = g[i];
             for (std::size_t e = 0; e < lanes; ++e)
@@ -199,9 +277,168 @@ AccumulateGradients(float *__restrict gw, float *__restrict gb,
     }
 }
 
+/** sum[j] += g[j]: one replica's term of the all-reduce sum. */
+template <class V>
+[[gnu::always_inline]] inline void
+AddInto(float *__restrict sum, const float *__restrict g, std::size_t n)
+{
+    constexpr std::size_t W = kWidth<V>;
+    std::size_t j = 0;
+    for (; j + W <= n; j += W) {
+        V s, x;
+        Load(s, sum + j);
+        Load(x, g + j);
+        s += x;
+        Store(sum + j, s);
+    }
+    for (; j < n; ++j)
+        sum[j] += g[j];
+}
+
+/** p[j] -= step * sum[j]: ApplyAccumulatedGradients' expression, with
+ *  step = lr * scale evaluated first as there. */
+template <class V>
+[[gnu::always_inline]] inline void
+Descend(float *__restrict p, const float *__restrict sum, float step,
+        std::size_t n)
+{
+    constexpr std::size_t W = kWidth<V>;
+    std::size_t j = 0;
+    for (; j + W <= n; j += W) {
+        V q, s;
+        Load(q, p + j);
+        Load(s, sum + j);
+        q -= step * s;
+        Store(p + j, q);
+    }
+    for (; j < n; ++j)
+        p[j] -= step * sum[j];
+}
+
+// The portable set.
+
+void
+ForwardLayerPortable(const float *w, const float *b, const float *in,
+                     float *out, std::size_t n_in, std::size_t n_out)
+{
+    ForwardLayer<F4x2>(w, b, in, out, n_in, n_out);
+}
+
+void
+BackwardInputsPortable(const float *w, const float *delta, float *delta_in,
+                       std::size_t n_in, std::size_t n_out)
+{
+    BackwardInputs<F4x2>(w, delta, delta_in, n_in, n_out);
+}
+
+void
+AccumulateGradientsPortable(float *gw, float *gb, const float *delta,
+                            const float *rows, std::size_t n_in,
+                            std::size_t n_out, std::size_t lanes)
+{
+    AccumulateGradients<F4x2>(gw, gb, delta, rows, n_in, n_out, lanes);
+}
+
+void
+AddIntoPortable(float *sum, const float *g, std::size_t n)
+{
+    AddInto<F4x2>(sum, g, n);
+}
+
+void
+DescendPortable(float *p, const float *sum, float step, std::size_t n)
+{
+    Descend<F4x2>(p, sum, step, n);
+}
+
+constexpr MlpKernels kPortableKernels = {
+    .forward_layer = ForwardLayerPortable,
+    .backward_inputs = BackwardInputsPortable,
+    .accumulate_gradients = AccumulateGradientsPortable,
+    .add_into = AddIntoPortable,
+    .descend = DescendPortable,
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+// The AVX2 set: the same templates on F8. target("avx2") enables no FMA,
+// so no product is fused into its sum (DESIGN.md §8).
+
+[[gnu::target("avx2")]] void
+ForwardLayerAvx2(const float *w, const float *b, const float *in,
+                 float *out, std::size_t n_in, std::size_t n_out)
+{
+    ForwardLayer<F8>(w, b, in, out, n_in, n_out);
+}
+
+[[gnu::target("avx2")]] void
+BackwardInputsAvx2(const float *w, const float *delta, float *delta_in,
+                   std::size_t n_in, std::size_t n_out)
+{
+    BackwardInputs<F8>(w, delta, delta_in, n_in, n_out);
+}
+
+[[gnu::target("avx2")]] void
+AccumulateGradientsAvx2(float *gw, float *gb, const float *delta,
+                        const float *rows, std::size_t n_in,
+                        std::size_t n_out, std::size_t lanes)
+{
+    AccumulateGradients<F8>(gw, gb, delta, rows, n_in, n_out, lanes);
+}
+
+[[gnu::target("avx2")]] void
+AddIntoAvx2(float *sum, const float *g, std::size_t n)
+{
+    AddInto<F8>(sum, g, n);
+}
+
+[[gnu::target("avx2")]] void
+DescendAvx2(float *p, const float *sum, float step, std::size_t n)
+{
+    Descend<F8>(p, sum, step, n);
+}
+
+constexpr MlpKernels kAvx2Kernels = {
+    .forward_layer = ForwardLayerAvx2,
+    .backward_inputs = BackwardInputsAvx2,
+    .accumulate_gradients = AccumulateGradientsAvx2,
+    .add_into = AddIntoAvx2,
+    .descend = DescendAvx2,
+};
+#endif
+
 }  // namespace
 
-Mlp::Mlp(const MlpConfig &config) : config_(config)
+const MlpKernels &
+PortableMlpKernels()
+{
+    return kPortableKernels;
+}
+
+const MlpKernels *
+Avx2MlpKernels()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return supported ? &kAvx2Kernels : nullptr;
+#else
+    return nullptr;
+#endif
+}
+
+const MlpKernels &
+HostMlpKernels()
+{
+    const MlpKernels *avx2 = Avx2MlpKernels();
+    return avx2 != nullptr ? *avx2 : PortableMlpKernels();
+}
+
+Mlp::Mlp(const MlpConfig &config) : Mlp(config, HostMlpKernels()) {}
+
+Mlp::Mlp(const MlpConfig &config, const MlpKernels &kernels)
+    : config_(config), kernels_(&kernels)
 {
     FRUGAL_CHECK_MSG(config.layers.size() >= 1,
                      "need at least an input width");
@@ -359,9 +596,9 @@ Mlp::ForwardBlock(const float *x, std::size_t lanes)
         const LayerShape &shape = shapes_[l];
         const float *layer_in = acts + shape.block_in;
         float *layer_out = acts + shape.block_in + shape.in * kLanes;
-        ForwardLayer(params_.data() + shape.weight_offset,
-                     params_.data() + shape.bias_offset, layer_in,
-                     layer_out, shape.in, shape.out);
+        kernels_->forward_layer(params_.data() + shape.weight_offset,
+                                params_.data() + shape.bias_offset,
+                                layer_in, layer_out, shape.in, shape.out);
         if (l + 1 == shapes_.size())
             break;  // the head's output is the logit
         for (std::size_t j = 0; j < shape.out * kLanes; ++j) {
@@ -428,11 +665,12 @@ Mlp::TrainBlock(const float *x, const float *labels, std::size_t lanes,
         const LayerShape &shape = shapes_[l];
         const float *rows =
             l == 0 ? x : block_rows_.data() + shape.block_rows;
-        AccumulateGradients(grads_.data() + shape.weight_offset,
-                            grads_.data() + shape.bias_offset, delta, rows,
-                            shape.in, shape.out, lanes);
-        BackwardInputs(params_.data() + shape.weight_offset, delta,
-                       delta_next, shape.in, shape.out);
+        kernels_->accumulate_gradients(
+            grads_.data() + shape.weight_offset,
+            grads_.data() + shape.bias_offset, delta, rows, shape.in,
+            shape.out, lanes);
+        kernels_->backward_inputs(params_.data() + shape.weight_offset,
+                                  delta, delta_next, shape.in, shape.out);
         if (l > 0) {
             // ReLU derivative on the layer input (which is layer l-1's
             // post-activation output).
@@ -462,10 +700,18 @@ Mlp::ApplyAccumulatedGradients(float scale)
 
 ReplicatedMlp::ReplicatedMlp(const MlpConfig &config,
                              std::uint32_t replicas)
+    : ReplicatedMlp(config, replicas, HostMlpKernels())
+{
+}
+
+ReplicatedMlp::ReplicatedMlp(const MlpConfig &config,
+                             std::uint32_t replicas,
+                             const MlpKernels &kernels)
+    : kernels_(&kernels)
 {
     FRUGAL_CHECK(replicas > 0);
     for (std::uint32_t g = 0; g < replicas; ++g)
-        replicas_.push_back(std::make_unique<Mlp>(config));
+        replicas_.push_back(std::make_unique<Mlp>(config, kernels));
 }
 
 void
@@ -478,6 +724,7 @@ ReplicatedMlp::AllReduceAndStep(std::size_t examples_total)
     // same sum, so replicas stay bit-equal.
     const float lr = replicas_[0]->learning_rate();
     const float scale = 1.0f / static_cast<float>(examples_total);
+    const float step = lr * scale;
     const std::size_t n = replicas_[0]->parameter_count();
     constexpr std::size_t kChunk = 1024;  // sums stay in L1
     float sum[kChunk] = {};
@@ -485,21 +732,12 @@ ReplicatedMlp::AllReduceAndStep(std::size_t examples_total)
         const std::size_t len = std::min(kChunk, n - base);
         const float *g0 = replicas_[0]->gradients().data() + base;
         std::memcpy(sum, g0, len * sizeof(float));
-        for (std::size_t r = 1; r < replicas_.size(); ++r) {
-            const float *g = replicas_[r]->gradients().data() + base;
-            std::size_t j = 0;
-            for (; j + 4 <= len; j += 4)
-                Store4(sum + j, Load4(sum + j) + Load4(g + j));
-            for (; j < len; ++j)
-                sum[j] += g[j];
-        }
+        for (std::size_t r = 1; r < replicas_.size(); ++r)
+            kernels_->add_into(sum, replicas_[r]->gradients().data() + base,
+                               len);
         for (auto &replica : replicas_) {
-            float *p = replica->parameters().data() + base;
-            std::size_t j = 0;
-            for (; j + 4 <= len; j += 4)
-                Store4(p + j, Load4(p + j) - lr * scale * Load4(sum + j));
-            for (; j < len; ++j)
-                p[j] -= lr * scale * sum[j];
+            kernels_->descend(replica->parameters().data() + base, sum,
+                              step, len);
             std::fill_n(replica->gradients().data() + base, len, 0.0f);
         }
     }

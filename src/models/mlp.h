@@ -8,11 +8,12 @@
  * gradient-check tests validate it against finite differences.
  * TrainExample and Predict are the scalar per-example reference;
  * TrainBatch and PredictBatch run blocks of kLanes examples, one example
- * per SIMD lane, bit-identical to the reference (DESIGN.md §8, "Batched
- * MLP kernels"). Multi-GPU data parallelism is modelled by ReplicatedMlp:
- * one replica per trainer accumulates local gradients, and a
- * single-threaded step hook averages and applies them to every replica
- * (the all-reduce of real systems).
+ * per SIMD lane, on the host's kernel set (models/mlp_kernels.h),
+ * bit-identical to the reference (DESIGN.md §8, "Batched MLP kernels").
+ * Multi-GPU data parallelism is modelled by ReplicatedMlp: one replica
+ * per trainer accumulates local gradients, and a single-threaded step
+ * hook averages and applies them to every replica (the all-reduce of
+ * real systems).
  */
 #ifndef FRUGAL_MODELS_MLP_H_
 #define FRUGAL_MODELS_MLP_H_
@@ -24,6 +25,8 @@
 #include "common/rng.h"
 
 namespace frugal {
+
+struct MlpKernels;  // models/mlp_kernels.h
 
 /** Architecture + training hyper-parameters of an Mlp. */
 struct MlpConfig
@@ -44,6 +47,9 @@ class Mlp
     static constexpr std::size_t kLanes = 8;
 
     explicit Mlp(const MlpConfig &config);
+    /** Runs the batched paths on `kernels`, one of the sets of
+     *  models/mlp_kernels.h (the one-argument form takes the host's). */
+    Mlp(const MlpConfig &config, const MlpKernels &kernels);
 
     /** Predicted probability for one input (no gradient bookkeeping). */
     float Predict(const float *x) const;
@@ -120,6 +126,7 @@ class Mlp
                     float *grad_x, float *losses);
 
     MlpConfig config_;
+    const MlpKernels *kernels_;
     std::vector<LayerShape> shapes_;  ///< hidden layers + output layer
     std::vector<float> params_;
     std::vector<float> grads_;
@@ -141,6 +148,9 @@ class ReplicatedMlp
 {
   public:
     ReplicatedMlp(const MlpConfig &config, std::uint32_t replicas);
+    /** Replicas (and the all-reduce) on `kernels`, as Mlp's. */
+    ReplicatedMlp(const MlpConfig &config, std::uint32_t replicas,
+                  const MlpKernels &kernels);
 
     /** Replica for trainer `g`; safe for concurrent use across distinct
      *  replicas. */
@@ -164,6 +174,7 @@ class ReplicatedMlp
     }
 
   private:
+    const MlpKernels *kernels_;
     std::vector<std::unique_ptr<Mlp>> replicas_;
 };
 

@@ -492,7 +492,14 @@ TEST(FaultToleranceTest, SparseShardsNoFalseStall)
     const Trace trace = Trace::Synthetic(dist, rng, 120, 2, 8);
     FrugalEngine engine(config);
     const GradFn task = MakeLinearGradTask();
-    const RunReport report = engine.Run(trace, task);
+    // As in HealthyRunNoFalseRecoveries: the run alone can end before
+    // the watchdog thread is first scheduled, so one pause at a step
+    // boundary (20 poll periods, a tenth of the stall deadline) lets it
+    // sample the sparse pipeline mid-run.
+    const RunReport report = engine.Run(trace, task, [](Step s) {
+        if (s == 60)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
 
     EXPECT_EQ(report.steps, 120u);
     EXPECT_EQ(report.recovery.stalls_detected, 0u);

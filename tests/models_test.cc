@@ -1,8 +1,9 @@
 /**
  * Model tests: analytic gradients of the MLP and the four KG scorers are
  * checked against central finite differences, the batched MLP paths are
- * checked byte for byte against the per-example reference, and the
- * replicated-dense machinery is verified to keep replicas bit-identical.
+ * checked byte for byte against the per-example reference on every
+ * kernel set the host runs, and the replicated-dense machinery is
+ * verified to keep replicas bit-identical.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "models/kg_scorers.h"
 #include "models/mlp.h"
+#include "models/mlp_kernels.h"
 
 namespace frugal {
 namespace {
@@ -291,6 +293,31 @@ BatchInputs(Rng &rng, std::size_t n, std::size_t in)
     return x;
 }
 
+/** Every kernel set this host runs: the portable set, and the AVX2 set
+ *  where the host has AVX2. */
+std::vector<const MlpKernels *>
+KernelSets()
+{
+    std::vector<const MlpKernels *> sets = {&PortableMlpKernels()};
+    if (const MlpKernels *avx2 = Avx2MlpKernels())
+        sets.push_back(avx2);
+    return sets;
+}
+
+/** The set's name, for failure traces. */
+const char *
+SetName(const MlpKernels *kernels)
+{
+    return kernels == &PortableMlpKernels() ? "portable" : "avx2";
+}
+
+TEST(MlpKernelsTest, HostSetIsAvx2WhereTheHostHasIt)
+{
+    const MlpKernels *avx2 = Avx2MlpKernels();
+    EXPECT_EQ(&HostMlpKernels(),
+              avx2 != nullptr ? avx2 : &PortableMlpKernels());
+}
+
 struct BatchShape
 {
     std::vector<std::size_t> layers;
@@ -306,17 +333,15 @@ PrintTo(const BatchShape &shape, std::ostream *os)
     *os << " }, n " << shape.n;
 }
 
-class MlpBatchTest : public ::testing::TestWithParam<BatchShape>
+/** TrainBatch on `kernels` against in-order TrainExample calls, over four
+ *  rounds of gradients and steps. */
+void
+ExpectTrainBatchMatches(const BatchShape &shape, const MlpKernels &kernels)
 {
-};
-
-TEST_P(MlpBatchTest, TrainBatchMatchesInOrderTrainExample)
-{
-    const BatchShape &shape = GetParam();
     const std::size_t in = shape.layers.front();
     const std::size_t n = shape.n;
     Mlp reference(BatchConfig(shape.layers));
-    Mlp batched(BatchConfig(shape.layers));
+    Mlp batched(BatchConfig(shape.layers), kernels);
     KillHiddenUnits(reference, shape.layers);
     KillHiddenUnits(batched, shape.layers);
     Rng rng(31 + n);
@@ -350,29 +375,46 @@ TEST_P(MlpBatchTest, TrainBatchMatchesInOrderTrainExample)
     }
 }
 
+class MlpBatchTest : public ::testing::TestWithParam<BatchShape>
+{
+};
+
+TEST_P(MlpBatchTest, TrainBatchMatchesInOrderTrainExample)
+{
+    for (const MlpKernels *kernels : KernelSets()) {
+        SCOPED_TRACE(SetName(kernels));
+        ExpectTrainBatchMatches(GetParam(), *kernels);
+    }
+}
+
 TEST_P(MlpBatchTest, PredictBatchMatchesPredict)
 {
     const BatchShape &shape = GetParam();
     const std::size_t in = shape.layers.front();
-    Mlp mlp(BatchConfig(shape.layers));
-    KillHiddenUnits(mlp, shape.layers);
-    Rng rng(41 + shape.n);
-    const std::vector<float> x = BatchInputs(rng, shape.n, in);
-    std::vector<float> expected(shape.n), probs(shape.n);
-    for (std::size_t e = 0; e < shape.n; ++e)
-        expected[e] = mlp.Predict(x.data() + e * in);
-    mlp.PredictBatch(x.data(), shape.n, probs.data());
-    EXPECT_TRUE(SameBytes(expected, probs));
+    for (const MlpKernels *kernels : KernelSets()) {
+        SCOPED_TRACE(SetName(kernels));
+        Mlp mlp(BatchConfig(shape.layers), *kernels);
+        KillHiddenUnits(mlp, shape.layers);
+        Rng rng(41 + shape.n);
+        const std::vector<float> x = BatchInputs(rng, shape.n, in);
+        std::vector<float> expected(shape.n), probs(shape.n);
+        for (std::size_t e = 0; e < shape.n; ++e)
+            expected[e] = mlp.Predict(x.data() + e * in);
+        mlp.PredictBatch(x.data(), shape.n, probs.data());
+        EXPECT_TRUE(SameBytes(expected, probs));
+    }
 }
 
 std::vector<BatchShape>
 BatchShapes()
 {
     // The rec_dlrm top MLP, widths that leave tails in every blocked
-    // loop (rows of 4, gradient runs of 16), and a head-only network;
+    // loop of both kernel sets (rows of 4 or 8, gradient runs of 16 or
+    // 32, then single vectors, then scalars), and a head-only network;
     // each with a full block, one example, and partial last blocks.
     const std::vector<std::vector<std::size_t>> layers = {
-        {832, 128, 64}, {6, 8, 4}, {5, 3}, {13, 9, 7}, {37, 21, 6}, {7}};
+        {832, 128, 64}, {6, 8, 4},   {5, 3}, {13, 9, 7},
+        {37, 21, 6},    {45, 21, 6}, {7}};
     std::vector<BatchShape> shapes;
     for (const auto &l : layers) {
         for (std::size_t n : {1, 7, 13, 64})
@@ -390,13 +432,16 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "n" + std::to_string(info.param.n);
     });
 
-TEST(ReplicatedMlpTest, FusedAllReduceMatchesReferenceLoop)
+/** One ReplicatedMlp on `kernels` through three fused all-reduce steps,
+ *  each against the plain per-parameter loop. */
+void
+ExpectFusedAllReduceMatches(const MlpKernels &kernels)
 {
     // 1,487 parameters: more than one chunk of the fused pass, and a
-    // tail that is not a multiple of four.
+    // tail that is not a multiple of the vector width.
     const MlpConfig config = BatchConfig({40, 30, 8});
     constexpr std::uint32_t kReplicas = 3;
-    ReplicatedMlp replicas(config, kReplicas);
+    ReplicatedMlp replicas(config, kReplicas, kernels);
     Rng rng(51);
     for (int step = 0; step < 3; ++step) {
         std::size_t examples = 0;
@@ -433,6 +478,14 @@ TEST(ReplicatedMlpTest, FusedAllReduceMatchesReferenceLoop)
             ASSERT_TRUE(SameBytes(zeros, replicas.replica(r).gradients()))
                 << "step " << step << " replica " << r;
         }
+    }
+}
+
+TEST(ReplicatedMlpTest, FusedAllReduceMatchesReferenceLoop)
+{
+    for (const MlpKernels *kernels : KernelSets()) {
+        SCOPED_TRACE(SetName(kernels));
+        ExpectFusedAllReduceMatches(*kernels);
     }
 }
 
