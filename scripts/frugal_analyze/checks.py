@@ -67,12 +67,14 @@ the sleep `// retry-exempt: <why>` when it is genuinely not a retry
 (sampling period, injected test delay, idle self-wake).""",
     "hotpath-alloc": """\
 Allocation on a hot path: functions on the hot list (the engine's
-claim-apply path ApplyClaims/FlushEntryRun and the PQ's shared
-FlushWritesLocked, the trainer's Gather, the prefetcher's PlanStep, the
-step boundary's RegisterStep and GEntry::AddWriteLocked, DrainBucket,
-GpuCache::TryGet/Put/UpdateIfPresent, the oracular warm/evict paths
-(WarmBegin/WarmCommit/WarmOne/EvictIfDead/PickVictimLocked), the row
-kernels) must not allocate directly or via a directly-called function.
+claim-apply path ApplyClaims/FlushEntryRun, its update-if-resident
+cache refresh RefreshCache and the PQ's shared FlushWritesLocked, the
+trainer's Gather, the prefetcher's PlanStep, the step boundary's
+RegisterStep and GEntry::AddWriteLocked, DrainBucket,
+GpuCache::TryGet/Put/UpdateIfPresent, the prefetcher's warm and the
+dead-key sweep (WarmBegin/WarmCommit/EvictIfDead/PickVictimLocked), the
+row kernels) must not allocate directly or via a directly-called
+function.
 Allocations are `new`, growing container methods, make_unique & co.,
 and std containers constructed with arguments (a per-record
 `std::vector<float>(first, last)` copy). Amortized growth of a
@@ -317,6 +319,8 @@ def check_spin_blocking(project: ProjectFacts, reg: Registry,
                                 f"holding Spinlock {spin}",
                         token=f"{qual}->{cfn.qualified()}:{what}",
                         notes=(head,) + _trace_notes(trace)))
+                if call.alloc_ok:
+                    continue  # the tag covers what the callee allocates
                 for what, trace in sorted(summ.allocs.items()):
                     diags.append(Diagnostic(
                         path=ff.path, line=call.line,
@@ -561,7 +565,7 @@ def check_hotpath_alloc(project: ProjectFacts, reg: Registry,
                 bad = [a for a in callee_fn.allocs if not a.tagged]
                 if not bad:
                     continue
-                if ff.has_tag_near(call.line, "alloc-ok:", window=3):
+                if call.alloc_ok:
                     continue
                 diags.append(Diagnostic(
                     path=ff.path, line=call.line, check="hotpath-alloc",

@@ -52,6 +52,8 @@ class CallSite:
     line: int
     name: str                      # full chain, e.g. "queue->Unenqueue"
     held: List[str] = field(default_factory=list)  # active guard exprs
+    alloc_ok: bool = False         # `alloc-ok:` tag: exempts what the
+                                   # callee allocates
 
 
 @dataclass

@@ -41,6 +41,9 @@ PT_GUARDED_BY_RE = re.compile(r"FRUGAL_PT_GUARDED_BY\s*\(([^)]*)\)")
 RETURN_CAP_RE = re.compile(r"FRUGAL_RETURN_CAPABILITY\s*\(([^)]*)\)")
 FRUGAL_MACRO_RE = re.compile(r"\bFRUGAL_[A-Z_]+\s*(\([^()]*\))?")
 ALIGNAS_RE = re.compile(r"\balignas\s*\([^)]*\)")
+# `[[...]]` attribute specifiers; one with arguments
+# (`[[gnu::target("avx2")]]`) would otherwise hold a header's first `(`.
+ATTRIBUTE_RE = re.compile(r"\[\[.*?\]\]", re.S)
 
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "do", "else",
                     "try", "return"}
@@ -50,7 +53,12 @@ NOT_A_CALL = CONTROL_KEYWORDS | {
     "case", "new", "delete", "throw", "operator", "noexcept", "explicit",
 }
 
-CALL_RE = re.compile(r"([A-Za-z_]\w*(?:(?:\.|->|::)[A-Za-z_]\w*)*)\s*\(")
+# A call is a name chain, optionally with one paren-free template
+# argument list written flush against the name (`ForwardRows<V, R>(`),
+# then `(`. The list may not hold `&&`, `||`, `=`, `!`, `;` or braces,
+# so a comparison such as `a < b && c > (d)` is not read as one.
+CALL_RE = re.compile(r"([A-Za-z_]\w*(?:(?:\.|->|::)[A-Za-z_]\w*)*)"
+                     r"(?:<(?:[^<>()&|;{}=!]|&(?!&))*>)?\s*\(")
 
 ALLOC_METHODS = ("push_back", "emplace_back", "resize", "reserve",
                  "insert", "emplace", "try_emplace", "assign", "append")
@@ -380,7 +388,8 @@ class Parser:
         return m.group(1) if m else "<anon>"
 
     def _push_function(self, header: str, line: int) -> None:
-        header = ACCESS_LABEL_RE.sub(" ", header).strip()
+        header = ACCESS_LABEL_RE.sub(" ", header)
+        header = ATTRIBUTE_RE.sub(" ", header).strip()
         stripped = _strip_angles(header)
         p = _first_top_paren(stripped)
         name = ""
@@ -690,7 +699,7 @@ class Parser:
                 # index expression.
                 continue
             fn.calls.append(CallSite(line=line, name=chain,
-                                     held=list(held)))
+                                     held=list(held), alloc_ok=tagged))
 
 
 def parse_file(path: str, text: str) -> FileFacts:

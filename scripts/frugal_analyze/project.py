@@ -108,11 +108,10 @@ HOT_FUNCTIONS = (
     "GpuCache::Put",
     "GpuCache::UpdateIfPresent",
     # Oracular warm/evict paths: WarmBegin/WarmCommit run on the
-    # prefetcher per warmed batch, WarmOne on flush threads under the
-    # g-entry lock, victim selection and the dead-key sweep per step.
+    # prefetcher per warmed batch, victim selection and the dead-key
+    # sweep per step.
     "GpuCache::WarmBegin",
     "GpuCache::WarmCommit",
-    "GpuCache::WarmOne",
     "GpuCache::EvictIfDead",
     "GpuCache::PickVictimLocked",
     # Frequency-aware tiered replacement (DESIGN.md §14): the sketch

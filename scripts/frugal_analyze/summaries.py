@@ -32,7 +32,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .facts import FunctionFacts, FunctionSummary, ProjectFacts
+from .facts import (CallSite, FunctionFacts, FunctionSummary,
+                    ProjectFacts)
 
 # Lock-type classification for the blocking-under-spinlock check: holds
 # of the left group must stay bounded; the right group may block.
@@ -438,19 +439,19 @@ def build_summaries(project: ProjectFacts, reg: Registry,
         nodes.append(key)
     # Resolve every call site once; edges carry the call site with them
     # so traces can name the line.
-    call_edges: Dict[str, List[Tuple[int, str, str]]] = {}
+    call_edges: Dict[str, List[Tuple[CallSite, str]]] = {}
     edges: Dict[str, List[str]] = {}
     for key in nodes:
         path, fn = by_key[key]
-        outs: List[Tuple[int, str, str]] = []
+        outs: List[Tuple[CallSite, str]] = []
         for call in fn.calls:
             for cpath, cfn in resolver.resolve_call(path, fn, call.line,
                                                     call.name):
                 ckey = fn_key(cpath, cfn)
                 if ckey in by_key:
-                    outs.append((call.line, call.name, ckey))
+                    outs.append((call, ckey))
         call_edges[key] = outs
-        edges[key] = [ckey for _, _, ckey in outs]
+        edges[key] = [ckey for _, ckey in outs]
     summaries: Dict[str, FunctionSummary] = {}
     for scc in _tarjan_sccs(nodes, edges):
         member = set(scc)
@@ -463,16 +464,17 @@ def build_summaries(project: ProjectFacts, reg: Registry,
             for key in scc:
                 path, _fn = by_key[key]
                 s = summaries[key]
-                for line, name, ckey in call_edges[key]:
+                for call, ckey in call_edges[key]:
                     if ckey == key:
                         continue
                     cs = summaries.get(ckey)
                     if cs is None:      # forward edge into a later SCC
                         continue        # (impossible by emission order)
-                    hop = [path, line, f"calls {name}"]
+                    hop = [path, call.line, f"calls {call.name}"]
                     changed |= _absorb(s.ranks, cs.ranks, hop)
                     changed |= _absorb(s.blocking, cs.blocking, hop)
-                    changed |= _absorb(s.allocs, cs.allocs, hop)
+                    if not call.alloc_ok:
+                        changed |= _absorb(s.allocs, cs.allocs, hop)
             if len(member) == 1:
                 break                   # no cycle: one pass suffices
     return summaries

@@ -409,37 +409,6 @@ GpuCache::WarmCommit(const Key *keys, const WarmPending *pending,
 }
 
 bool
-GpuCache::WarmOne(Key key, const float *row, Step next_use)
-{
-    SpinGuard guard(lock_);
-    if (const std::uint32_t *existing = map_.Find(key)) {
-        RowCopy(storage_.data() + *existing * dim_, row, dim_);
-        ++fill_stamp_[*existing];
-        flags_[*existing] &= static_cast<std::uint8_t>(~kFillingFlag);
-        next_use_[*existing] = next_use;
-        ++stats_.flush_writes;
-        return true;
-    }
-    if (next_use == kNoFutureUse)
-        return false;
-    Key evicted = kInvalidKey;
-    const std::uint32_t slot =
-        AcquireSlotLocked(key, next_use, /*hinted=*/true, &evicted);
-    if (slot == kNilSlot)
-        return false;
-    slot_key_[slot] = key;
-    map_.TryEmplace(key, slot);
-    flags_[slot] = 0;
-    PushBackLocked(kCold, slot);  // cold end, same as the batched warm
-    RowCopy(storage_.data() + slot * dim_, row, dim_);
-    ++fill_stamp_[slot];
-    flags_[slot] |= kWarmFlag;  // complete row: readable immediately
-    next_use_[slot] = next_use;
-    ++stats_.warm_inserts;
-    return true;
-}
-
-bool
 GpuCache::EvictIfDead(Key key)
 {
     SpinGuard guard(lock_);

@@ -266,14 +266,6 @@ class GpuCache
     }
 
     /**
-     * Single-row warm used by the flush path (caller holds the g-entry
-     * lock, so `row` is the committed host value): refreshes in place if
-     * resident, otherwise admission-inserts at the cold end as a
-     * complete (readable) row. @return true if the row is now cached.
-     */
-    bool WarmOne(Key key, const float *row, Step next_use);
-
-    /**
      * Drops `key` without any write-back or copy — the zero-cost
      * reclamation for keys whose last reader has passed (the cache is
      * write-through, so no state is lost). @return true if present.

@@ -2,152 +2,71 @@
 
 #include <algorithm>
 
+#include "common/flat_map.h"
 #include "common/logging.h"
 #include "data/trace.h"
 
 namespace frugal {
 
-namespace {
-
-/** Dense slot for a key, assigning the next free slot on first sight. */
-std::uint32_t
-SlotOf(FlatMap<Key, std::uint32_t> &slots, Key key)
-{
-    auto [value, inserted] =
-        slots.TryEmplace(key, static_cast<std::uint32_t>(slots.size()));
-    (void)inserted;
-    return *value;
-}
-
-}  // namespace
-
 NextUseIndex::NextUseIndex(const Trace &trace)
+    : n_steps_(trace.NumSteps()), n_gpus_(trace.n_gpus())
 {
-    n_steps_ = trace.NumSteps();
-    n_gpus_ = trace.n_gpus();
-
-    // Forward pass: assign dense slots in first-seen order and count each
-    // key's per-step occurrences (deduplicated across GPUs within a
-    // step) to size the CSR successor chains exactly.
-    std::uint64_t total_accesses = 0;
-    for (std::size_t s = 0; s < n_steps_; ++s)
-        total_accesses += trace.StepAt(s).TotalKeys();
-    key_slot_.Reserve(static_cast<std::size_t>(total_accesses / 4 + 16));
-
-    std::vector<std::uint32_t> chain_len;
-    std::vector<Step> seen_at;  // last step counted for the slot
-    for (std::size_t s = 0; s < n_steps_; ++s) {
-        for (GpuId g = 0; g < n_gpus_; ++g) {
-            for (Key key : trace.KeysFor(s, g)) {
-                const std::uint32_t slot = SlotOf(key_slot_, key);
-                if (slot == chain_len.size()) {
-                    chain_len.push_back(0);
-                    seen_at.push_back(kNever);
-                }
-                if (seen_at[slot] != static_cast<Step>(s)) {
-                    seen_at[slot] = static_cast<Step>(s);
-                    ++chain_len[slot];
-                }
-            }
-        }
-    }
-    const std::size_t n_keys = chain_len.size();
-
-    // Prefix-sum the chain lengths, then fill the chains forward; the
-    // fill cursor doubles as the "already recorded this step" dedupe.
-    key_steps_offset_.assign(n_keys + 1, 0);
-    for (std::size_t i = 0; i < n_keys; ++i)
-        key_steps_offset_[i + 1] = key_steps_offset_[i] + chain_len[i];
-    key_steps_.assign(key_steps_offset_[n_keys], kNever);
-    std::vector<std::size_t> cursor(key_steps_offset_.begin(),
-                                    key_steps_offset_.end() - 1);
-    for (std::size_t s = 0; s < n_steps_; ++s) {
-        for (GpuId g = 0; g < n_gpus_; ++g) {
-            for (Key key : trace.KeysFor(s, g)) {
-                const std::uint32_t slot = *key_slot_.Find(key);
-                std::size_t &at = cursor[slot];
-                if (at > key_steps_offset_[slot] &&
-                    key_steps_[at - 1] == static_cast<Step>(s))
-                    continue;  // same key twice in one step (cross-GPU)
-                key_steps_[at++] = static_cast<Step>(s);
-            }
-        }
-    }
-    for (std::size_t i = 0; i < n_keys; ++i)
-        FRUGAL_DCHECK(cursor[i] == key_steps_offset_[i + 1]);
-
-    // Backward pass: per (step, gpu) hint rows and per-step dead lists.
-    // last_seen[slot] holds the nearest future step (> s) that reads the
-    // key while scanning step s — first a read phase fills the hints,
-    // then an update phase pulls the step itself in and marks keys whose
-    // future was empty as dead-after-s.
+    // Hint rows are laid out row-major by (step, gpu), each parallel to
+    // its key list.
     hint_offset_.assign(n_steps_ * n_gpus_ + 1, 0);
-    hints_.assign(static_cast<std::size_t>(total_accesses), kNever);
-    {
-        std::size_t off = static_cast<std::size_t>(total_accesses);
-        dead_offset_.assign(n_steps_ + 1, 0);
-        std::vector<std::vector<Key>> dead(n_steps_);
-        std::vector<Step> last_seen(n_keys, kNever);
-        for (std::size_t s = n_steps_; s-- > 0;) {
-            for (GpuId g = n_gpus_; g-- > 0;) {
-                const auto &keys = trace.KeysFor(s, g);
-                off -= keys.size();
-                hint_offset_[s * n_gpus_ + g] = off;
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    hints_[off + i] =
-                        last_seen[*key_slot_.Find(keys[i])];
-                }
-            }
-            for (GpuId g = 0; g < n_gpus_; ++g) {
-                for (Key key : trace.KeysFor(s, g)) {
-                    Step &ls = last_seen[*key_slot_.Find(key)];
-                    if (ls == static_cast<Step>(s))
-                        continue;  // cross-GPU duplicate within the step
-                    if (ls == kNever)
-                        dead[s].push_back(key);
-                    ls = static_cast<Step>(s);
-                }
-            }
+    for (std::size_t s = 0, row = 0; s < n_steps_; ++s) {
+        for (GpuId g = 0; g < n_gpus_; ++g, ++row) {
+            hint_offset_[row + 1] =
+                hint_offset_[row] + trace.KeysFor(s, g).size();
         }
-        FRUGAL_DCHECK(off == 0);
-        hint_offset_[n_steps_ * n_gpus_] =
-            static_cast<std::size_t>(total_accesses);
-
-        dead_keys_.reserve(n_keys);
-        for (std::size_t s = 0; s < n_steps_; ++s) {
-            dead_offset_[s] = dead_keys_.size();
-            dead_keys_.insert(dead_keys_.end(), dead[s].begin(),
-                              dead[s].end());
-        }
-        dead_offset_[n_steps_] = dead_keys_.size();
-        FRUGAL_DCHECK(dead_keys_.size() == n_keys);
     }
-}
+    hints_.resize(hint_offset_.back());
 
-Step
-NextUseIndex::NextUseAfter(Key key, Step step) const
-{
-    const std::uint32_t *slot = key_slot_.Find(key);
-    if (slot == nullptr)
-        return kNever;
-    const auto begin = key_steps_.begin() + static_cast<std::ptrdiff_t>(
-                                                key_steps_offset_[*slot]);
-    const auto end = key_steps_.begin() + static_cast<std::ptrdiff_t>(
-                                              key_steps_offset_[*slot + 1]);
-    const auto it = std::upper_bound(begin, end, step);
-    return it == end ? kNever : *it;
-}
+    // Backward pass. Entering step s, every key read after s maps to its
+    // nearest read `at` (> s) and the read after that. The first GPU to
+    // read the key at s shifts it to {s, at}: its hint is the old `at`,
+    // and it dies after s if it had none. A later GPU reading it at the
+    // same step (at == s) takes the same hint.
+    struct Reads
+    {
+        Step at = kNever;
+        Step after = kNever;
+    };
+    FlatMap<Key, Reads> reads(static_cast<std::size_t>(
+        std::min<std::uint64_t>(trace.key_space(), hints_.size())));
+    dead_offset_.assign(n_steps_ + 1, 0);
+    for (std::size_t s = n_steps_; s-- > 0;) {
+        const Step step = static_cast<Step>(s);
+        const std::size_t dead_before = dead_keys_.size();
+        for (GpuId g = 0; g < n_gpus_; ++g) {
+            const std::vector<Key> &keys = trace.KeysFor(s, g);
+            Step *hint = hints_.data() + hint_offset_[s * n_gpus_ + g];
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                Reads &r = *reads.TryEmplace(keys[i]).first;
+                if (r.at != step) {
+                    r.after = r.at;
+                    r.at = step;
+                    if (r.after == kNever)
+                        dead_keys_.push_back(keys[i]);
+                }
+                hint[i] = r.after;
+            }
+        }
+        dead_offset_[s + 1] = dead_keys_.size() - dead_before;
+    }
+    FRUGAL_DCHECK(dead_keys_.size() == reads.size());
 
-Step
-NextUseIndex::FirstUse(Key key) const
-{
-    const std::uint32_t *slot = key_slot_.Find(key);
-    if (slot == nullptr)
-        return kNever;
-    const std::size_t begin = key_steps_offset_[*slot];
-    if (begin == key_steps_offset_[*slot + 1])
-        return kNever;
-    return key_steps_[begin];
+    // The dead lists were appended last step first: reversing the whole
+    // array puts the steps in order, reversing each step's block back
+    // restores first-seen order within it.
+    std::reverse(dead_keys_.begin(), dead_keys_.end());
+    for (std::size_t s = 0; s < n_steps_; ++s) {
+        dead_offset_[s + 1] += dead_offset_[s];
+        std::reverse(dead_keys_.begin() +
+                         static_cast<std::ptrdiff_t>(dead_offset_[s]),
+                     dead_keys_.begin() +
+                         static_cast<std::ptrdiff_t>(dead_offset_[s + 1]));
+    }
 }
 
 std::size_t
@@ -156,10 +75,7 @@ NextUseIndex::MemoryBytes() const
     return hints_.size() * sizeof(Step) +
            hint_offset_.size() * sizeof(std::size_t) +
            dead_keys_.size() * sizeof(Key) +
-           dead_offset_.size() * sizeof(std::size_t) +
-           key_slot_.MemoryBytes() +
-           key_steps_offset_.size() * sizeof(std::size_t) +
-           key_steps_.size() * sizeof(Step);
+           dead_offset_.size() * sizeof(std::size_t);
 }
 
 NextUseIndex

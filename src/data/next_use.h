@@ -1,13 +1,12 @@
 /**
  * @file
- * The per-key next-use index over a materialized Trace — the oracle that
- * makes prefetching and eviction *oracular* (BagPipe, arXiv:2202.12429):
+ * The next-use index over a materialized Trace — the oracle that makes
+ * prefetching and eviction *oracular* (BagPipe, arXiv:2202.12429):
  * training sees its own future, so at step s the exact key set of step
- * s+k is known, the next step at which any resident key will be read is
- * known, and keys with no future reader are known to be dead.
+ * s+k is known, the next step at which each key read at s is read again
+ * is known, and keys with no future reader are known to be dead.
  *
- * Built in one backward pass over the trace (plus a forward pass that
- * lays out the per-key successor chains), the index answers three
+ * Built in one backward pass over the trace, the index answers the two
  * questions the runtime asks:
  *
  *  - HintRow(s, g): for the i-th key of (step s, GPU g) in trace order,
@@ -16,9 +15,9 @@
  *    prefetcher attach next-use hints to cache operations in O(1).
  *  - DeadAfter(s): the keys whose final reader is step s — eligible for
  *    zero-cost cache reclamation once s completes.
- *  - NextUseAfter(k, s): the first step > s that reads k (kNever when
- *    none) — a binary search over k's successor chain, used by the
- *    flush-side warm path and by tests.
+ *
+ * Nothing is kept per key: the key map that carries each key's nearest
+ * reads through the pass is local to the build.
  *
  * The index describes reads only; it never influences what value a key
  * holds. Consumers use it to *move* reads (warm earlier, evict dead),
@@ -32,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace frugal {
@@ -43,10 +41,10 @@ class Trace;
 class NextUseIndex
 {
   public:
-    /** "No future use" sentinel (also returned for unknown keys). */
+    /** "No future use" sentinel. */
     static constexpr Step kNever = kInfiniteStep;
 
-    /** Empty index (no steps, every key unknown). */
+    /** Empty index (no steps, no keys). */
     NextUseIndex() = default;
 
     /** Builds the index for `trace`; equivalent to
@@ -56,10 +54,9 @@ class NextUseIndex
     std::size_t NumSteps() const { return n_steps_; }
     std::uint32_t n_gpus() const { return n_gpus_; }
 
-    /** Number of distinct keys the trace touches. */
-    std::uint64_t distinct_keys() const { return key_steps_offset_.empty()
-            ? 0
-            : key_steps_offset_.size() - 1; }
+    /** Number of distinct keys the trace touches (each dies exactly
+     *  once, so this is the total length of the dead-after lists). */
+    std::uint64_t distinct_keys() const { return dead_keys_.size(); }
 
     /**
      * Next-use hints for (step, gpu), parallel to
@@ -83,18 +80,10 @@ class NextUseIndex
                 dead_offset_[step + 1] - dead_offset_[step]};
     }
 
-    /** First step > `step` that reads `key` anywhere, or kNever. */
-    Step NextUseAfter(Key key, Step step) const;
-
-    /** First step that reads `key` at all, or kNever. */
-    Step FirstUse(Key key) const;
-
-    /** Bytes held by the index (hints + dead lists + chains). */
+    /** Bytes held by the index (hint rows + dead lists). */
     std::size_t MemoryBytes() const;
 
   private:
-    friend class Trace;
-
     std::size_t n_steps_ = 0;
     std::uint32_t n_gpus_ = 1;
 
@@ -105,13 +94,6 @@ class NextUseIndex
     /** Flattened dead-after lists, one per step. */
     std::vector<Key> dead_keys_;
     std::vector<std::size_t> dead_offset_{0};
-
-    /** Per-key successor chains in CSR form: key → dense slot via
-     *  key_slot_, then key_steps_[offset[slot] .. offset[slot+1]) is
-     *  the ascending, deduplicated list of steps that read the key. */
-    FlatMap<Key, std::uint32_t> key_slot_;
-    std::vector<std::size_t> key_steps_offset_;
-    std::vector<Step> key_steps_;
 };
 
 }  // namespace frugal

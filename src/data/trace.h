@@ -109,10 +109,10 @@ class Trace
     Trace Slice(std::size_t begin, std::size_t end) const;
 
     /**
-     * Precomputes the per-key next-use oracle over this trace (next-use
-     * hints, dead-after lists, successor chains); see data/next_use.h.
-     * One backward pass over the materialized future — the basis for
-     * oracular cache warming and Belady-style eviction.
+     * Precomputes the next-use oracle over this trace (next-use hints
+     * and dead-after lists); see data/next_use.h. One backward pass
+     * over the materialized future — the basis for oracular cache
+     * warming and Belady-style eviction.
      */
     NextUseIndex BuildNextUseIndex() const;
 

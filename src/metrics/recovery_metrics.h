@@ -87,8 +87,7 @@ TablePrinter OverloadTable(const OverloadCounters &counters,
  */
 struct PrefetchCounters
 {
-    /** Rows inserted ahead of use by the warm paths (prefetcher batch
-     *  warms + flush-side warms). */
+    /** Rows inserted ahead of use by the prefetcher's batch warms. */
     std::uint64_t rows_warmed = 0;
     /** Trainer lookups served by a warmed row on its first touch. */
     std::uint64_t warm_hits = 0;

@@ -629,10 +629,8 @@ class Pipeline
             // trainer, so a key whose last reader is s will never be
             // read again — drop its cached row now (zero cost, the cache
             // is write-through). A flush for such a key may still be in
-            // flight, but its cache-refresh side is harmless:
-            // UpdateIfPresent on the evicted key is a no-op and the
-            // flush-side warm skips keys with no next use inside the
-            // window.
+            // flight, but its cache refresh is then a no-op: it only
+            // updates resident rows.
             for (const Key key : next_use_.DeadAfter(s))
                 caches_[ownership_.OwnerOf(key)]->EvictIfDead(key);
             const Step horizon =
@@ -1311,9 +1309,12 @@ class Pipeline
     }
 
     /**
-     * "H2D": copies the committed row into the owner's cache. Also runs
-     * on the watchdog thread when reclaiming abandoned claims, hence
-     * the thread-local row buffer.
+     * "H2D": copies the committed row into the owner's cache if the key
+     * is resident there (the caller holds the g-entry lock, so the row
+     * is the committed host value). A non-resident key is left to the
+     * prefetcher's warm and the trainer's demand fill. Also runs on the
+     * watchdog thread when reclaiming abandoned claims, hence the
+     * thread-local row buffer.
      */
     void
     RefreshCache(Key key)
@@ -1322,30 +1323,8 @@ class Pipeline
         // alloc-ok: thread_local scratch; after the first call on each
         // thread this resize never reallocates (dim is run-constant).
         row.resize(config_.dim);
-        const GpuId owner = ownership_.OwnerOf(key);
         table_.ReadRow(key, row.data());
-        // Flush-side warm: the caller holds the g-entry lock and this
-        // row is the freshly committed host value — if the key will be
-        // read again inside the lookahead window, cache it even when it
-        // was not resident (WarmOne update-or-cold-inserts). That turns
-        // the mandatory coherence write into a free prefetch for keys
-        // the prefetcher's batch warm skipped (they had pending writes
-        // then). Fully shed with warming under memory pressure.
-        // relaxed: degradation flag; a stale read warms one extra row.
-        if (oracular_ && warming_enabled_.load(std::memory_order_relaxed)) {
-            const Step now = current_step_.load(std::memory_order_acquire);
-            const Step reuse = next_use_.NextUseAfter(key, now);
-            const Step window =
-                now +
-                // relaxed: degradation knob; any recent value works.
-                static_cast<Step>(effective_lookahead_.load(
-                    std::memory_order_relaxed));
-            if (reuse != NextUseIndex::kNever && reuse <= window) {
-                caches_[owner]->WarmOne(key, row.data(), reuse);
-                return;
-            }
-        }
-        caches_[owner]->UpdateIfPresent(key, row.data());
+        caches_[ownership_.OwnerOf(key)]->UpdateIfPresent(key, row.data());
     }
 
     // --- step boundary stages ------------------------------------------
@@ -1602,8 +1581,8 @@ class Pipeline
     std::vector<std::unique_ptr<GpuCache>> caches_;
     // The next-use oracle (DESIGN.md §13): the trace is fully
     // materialized, so the future is known — one backward pass builds
-    // the per-key index that drives cache warming, Belady-style
-    // eviction hints and dead-key reclamation. Its steps are
+    // the hint rows and dead lists that drive Belady-style eviction
+    // hints and dead-key reclamation. Its steps are
     // trace-local, the coordinates current_step_ and the prefetch
     // frontier use.
     const NextUseIndex next_use_ =

@@ -4,8 +4,10 @@
 // justified relaxed load, an exempted raw atomic, a legal
 // compare_exchange order pair, a retry-exempt monitor sleep, and a
 // tagged hot-path allocation next to non-allocating container uses
-// (the driver passes `--hot FixtureHotLoop` here too). The driver
-// asserts the analyzer reports zero findings for this tree.
+// (run_analyze_test.py passes `--hot FixtureHotLoop` here too), and
+// comparisons that must not read as calls written with template
+// arguments. run_analyze_test.py asserts the analyzer reports zero
+// findings for this tree.
 
 namespace frugal {
 
@@ -60,6 +62,22 @@ inline void FixtureHotLoop(std::vector<float> &out)
     const std::span<const float> view(out.data(), out.size());
     (void)unused;
     (void)view;
+}
+
+// Allocates; the hot loop below shadows its name with a parameter.
+inline void FixtureCount(std::vector<float> &out)
+{
+    out.reserve(16);
+}
+
+inline int FixtureHotLoop(int FixtureCount, int b, int c, int d)
+{
+    // Comparisons, not `FixtureCount<...>(d)` calls.
+    if (FixtureCount < b && c > (d))
+        return 1;
+    if (FixtureCount<b || c>(d))
+        return 2;
+    return 0;
 }
 
 }  // namespace frugal

@@ -6,7 +6,9 @@
 // CleanTop holds kGEntry (20) and the chain acquires kTableRow (40):
 // ranks increase inward, so the transitive propagation must stay
 // silent. CleanTagged reaches an allocation under its spinlock but the
-// call site carries `spin-block-ok:`.
+// call site carries `spin-block-ok:`. CleanTaggedNew constructs a class
+// template whose constructor allocates, under its spinlock, on a line
+// tagged `alloc-ok:`: the tag covers the constructor's allocation too.
 
 namespace frugal {
 
@@ -73,6 +75,37 @@ class CleanTagged
     Spinlock entry_lock_{LockRank::kGEntry};
     // tsa-exempt: fixture wiring; touched only under entry_lock_.
     CleanAppend helper_;
+};
+
+template <typename T>
+class CleanHolder
+{
+  public:
+    explicit CleanHolder(unsigned n)
+    {
+        data_ = new T[n];
+    }
+
+  private:
+    // tsa-exempt: fixture wiring; set once by the constructor.
+    T *data_ = nullptr;
+};
+
+class CleanTaggedNew
+{
+  public:
+    void CreateUnderLock(unsigned n)
+    {
+        SpinGuard entry(entry_lock_);
+        // alloc-ok: fixture; once per object, and the constructor's
+        // buffer is part of the same one-time allocation.
+        holder_ = new CleanHolder<unsigned>(n);
+    }
+
+  private:
+    Spinlock entry_lock_{LockRank::kGEntry};
+    CleanHolder<unsigned> *holder_ FRUGAL_GUARDED_BY(entry_lock_) =
+        nullptr;
 };
 
 }  // namespace frugal

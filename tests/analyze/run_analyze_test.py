@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Test driver for scripts/frugal_analyze (ctest label: analyze).
 
-Six suites:
+Seven suites:
 
 1. Fixture TUs under tests/analyze/fixtures/: one known-bad snippet per
    check plus all-clean trees. Expected findings are written *in* the
@@ -22,6 +22,8 @@ Six suites:
    clean one passes, two files sharing a basename are both analyzed,
    and a digit separator (`10'000`) hides nothing after it.
 6. CLI surface: --explain and --list-checks.
+7. Every HOT_FUNCTIONS entry in frugal_analyze.project still names a
+   function in src/, matched as `hotpath-alloc` matches it.
 """
 
 import json
@@ -41,7 +43,9 @@ ANALYZER = os.path.join(SCRIPTS, "frugal_analyze")
 sys.path.insert(0, SCRIPTS)
 
 from frugal_analyze.checks import CHECK_IDS  # noqa: E402
-from frugal_analyze.project import LOCK_RANKS  # noqa: E402
+from frugal_analyze.cli import collect_sources  # noqa: E402
+from frugal_analyze.frontend_internal import parse_file  # noqa: E402
+from frugal_analyze.project import HOT_FUNCTIONS, LOCK_RANKS  # noqa: E402
 
 EXPECT_RE = re.compile(r"EXPECT:([\w-]+)")
 DIAG_RE = re.compile(r"^(.*?):(\d+): ([\w-]+): ")
@@ -171,6 +175,22 @@ def test_lock_ranks_in_sync():
           "no enumerator missing from either side")
 
 
+def test_hot_functions_defined():
+    """A HOT_FUNCTIONS entry that names no function guards nothing."""
+    print("== HOT_FUNCTIONS vs src/ ==")
+    src = os.path.join(REPO, "src")
+    names = set()
+    for rel, path in collect_sources([src], src, REPO).items():
+        with open(path, encoding="utf-8") as f:
+            for fn in parse_file(rel, f.read()).functions:
+                names.update((fn.qualified(), fn.name))
+    stale = [entry for entry in HOT_FUNCTIONS if entry not in names]
+    check(not stale, f"every HOT_FUNCTIONS entry names a function in "
+                     f"src/ ({len(HOT_FUNCTIONS)} entries)")
+    for entry in stale:
+        print(f"    stale: {entry}")
+
+
 def run_relaxed(*paths):
     """The analyzer as check.sh runs it over tests/, bench/, examples/."""
     return subprocess.run([sys.executable, ANALYZER, "--no-baseline",
@@ -251,6 +271,7 @@ def main():
     test_fixtures()
     test_deep_call_path()
     test_lock_ranks_in_sync()
+    test_hot_functions_defined()
     test_sarif_output()
     test_relaxed_outside_src()
     test_cli_surface()

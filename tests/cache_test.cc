@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <thread>
@@ -232,23 +233,6 @@ TEST(GpuCacheWarmTest, StaleWarmCommitYieldsToFresherFlushWrite)
     EXPECT_EQ(out[0], 42.0f);
 }
 
-TEST(GpuCacheWarmTest, WarmOneUpdatesResidentsAndInsertsCold)
-{
-    GpuCache cache(2, 4);
-    cache.Put(1, RowOf(1).data());
-    // Resident: refresh in place (a flush write, not a warm insert).
-    EXPECT_TRUE(cache.WarmOne(1, RowOf(7).data(), 4));
-    std::vector<float> out(4);
-    ASSERT_TRUE(cache.TryGet(1, out.data()));
-    EXPECT_EQ(out[0], 7.0f);
-    EXPECT_EQ(cache.stats().warm_inserts, 0u);
-    // Absent: cold-end insert, immediately readable.
-    EXPECT_TRUE(cache.WarmOne(2, RowOf(8).data(), 5));
-    ASSERT_TRUE(cache.TryGet(2, out.data()));
-    EXPECT_EQ(out[0], 8.0f);
-    EXPECT_EQ(cache.stats().warm_inserts, 1u);
-}
-
 TEST(GpuCacheWarmTest, EvictIfDeadReclaimsWithoutWriteback)
 {
     GpuCache cache(2, 4);
@@ -415,7 +399,14 @@ TEST(GpuCacheTieredTest, CapacityOneFrequencyDuel)
 TEST(GpuCacheTieredTest, WarmRowsStayProbationaryUntilRereferenced)
 {
     GpuCache cache(4, 4);
-    ASSERT_TRUE(cache.WarmOne(7, RowOf(7).data(), /*next_use=*/5));
+    const Key keys[] = {7};
+    const Step hints[] = {5};
+    ASSERT_EQ(cache.WarmBatch(keys, hints, 1,
+                              [](const Key *, std::size_t, float *rows) {
+                                  const auto row = RowOf(7);
+                                  std::copy(row.begin(), row.end(), rows);
+                              }),
+              1u);
     EXPECT_EQ(cache.hot_size(), 0u);
 
     // First hit stands in for the demand insert the warm replaced:

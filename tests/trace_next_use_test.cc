@@ -1,9 +1,9 @@
 /**
  * NextUseIndex correctness: the oracle is checked against brute-force
- * forward scans of the same trace — every hint, every dead list, every
- * successor chain. The index only ever *moves* cache reads, but a wrong
- * hint silently degrades eviction to worse-than-LRU and a wrong dead
- * list evicts a row that is still needed, so exactness is the contract.
+ * forward scans of the same trace — every hint and every dead list. The
+ * index only ever *moves* cache reads, but a wrong hint silently
+ * degrades eviction to worse-than-LRU and a wrong dead list evicts a
+ * row that is still needed, so exactness is the contract.
  */
 #include <algorithm>
 #include <set>
@@ -44,67 +44,42 @@ RandomTrace(std::uint64_t seed, std::size_t steps, std::uint32_t gpus,
     return Trace::Synthetic(dist, rng, steps, gpus, keys_per_gpu);
 }
 
-TEST(NextUseIndexTest, HintRowsMatchBruteForce)
+/** Checks every hint row and every dead list of `trace`'s index
+ *  against brute-force forward scans, dead-list order included. */
+void
+ExpectIndexMatchesBruteForce(const Trace &trace)
 {
-    const Trace trace = RandomTrace(7, 40, 2, 12, 64, 0.9);
     const NextUseIndex index = trace.BuildNextUseIndex();
+    ASSERT_EQ(index.NumSteps(), trace.NumSteps());
+    std::set<Key> distinct;
     for (std::size_t s = 0; s < trace.NumSteps(); ++s) {
+        const Step step = static_cast<Step>(s);
+        std::vector<Key> dead;
         for (std::uint32_t g = 0; g < trace.n_gpus(); ++g) {
             const auto &keys = trace.KeysFor(s, g);
             const auto hints = index.HintRow(s, g);
             ASSERT_EQ(hints.size(), keys.size());
             for (std::size_t i = 0; i < keys.size(); ++i) {
-                EXPECT_EQ(hints[i],
-                          BruteNextUse(trace, keys[i],
-                                       static_cast<Step>(s)))
-                    << "step " << s << " gpu " << g << " key "
-                    << keys[i];
+                const Step next = BruteNextUse(trace, keys[i], step);
+                EXPECT_EQ(hints[i], next)
+                    << "step " << s << " gpu " << g << " key " << keys[i];
+                distinct.insert(keys[i]);
+                if (next == NextUseIndex::kNever &&
+                    std::find(dead.begin(), dead.end(), keys[i]) ==
+                        dead.end())
+                    dead.push_back(keys[i]);
             }
         }
+        const auto got = index.DeadAfter(s);
+        EXPECT_EQ(std::vector<Key>(got.begin(), got.end()), dead)
+            << "dead list of step " << s;
     }
+    EXPECT_EQ(index.distinct_keys(), distinct.size());
 }
 
-TEST(NextUseIndexTest, NextUseAfterMatchesBruteForce)
+TEST(NextUseIndexTest, HintRowsMatchBruteForce)
 {
-    // Single-GPU and multi-GPU shapes; NextUseAfter must answer for
-    // arbitrary (key, step), including steps where the key is absent.
-    for (const std::uint32_t gpus : {1u, 3u}) {
-        const Trace trace = RandomTrace(11 + gpus, 25, gpus, 8, 40, 0.8);
-        const NextUseIndex index = trace.BuildNextUseIndex();
-        for (Key key = 0; key < trace.key_space(); ++key) {
-            for (Step s = 0; s < trace.NumSteps(); ++s) {
-                ASSERT_EQ(index.NextUseAfter(key, s),
-                          BruteNextUse(trace, key, s))
-                    << "key " << key << " after " << s;
-            }
-        }
-    }
-}
-
-TEST(NextUseIndexTest, FirstUseAndUnknownKeys)
-{
-    const Trace trace = RandomTrace(3, 20, 2, 6, 32, 0.99);
-    const NextUseIndex index = trace.BuildNextUseIndex();
-    for (Key key = 0; key < trace.key_space(); ++key) {
-        Step first = NextUseIndex::kNever;
-        for (std::size_t s = 0;
-             s < trace.NumSteps() && first == NextUseIndex::kNever; ++s) {
-            for (std::uint32_t g = 0; g < trace.n_gpus(); ++g) {
-                const auto &keys = trace.KeysFor(s, g);
-                if (std::find(keys.begin(), keys.end(), key) !=
-                    keys.end()) {
-                    first = static_cast<Step>(s);
-                    break;
-                }
-            }
-        }
-        EXPECT_EQ(index.FirstUse(key), first);
-    }
-    // Keys outside the traced set are "never used", not UB.
-    EXPECT_EQ(index.FirstUse(trace.key_space() + 100),
-              NextUseIndex::kNever);
-    EXPECT_EQ(index.NextUseAfter(trace.key_space() + 100, 0),
-              NextUseIndex::kNever);
+    ExpectIndexMatchesBruteForce(RandomTrace(7, 40, 2, 12, 64, 0.9));
 }
 
 TEST(NextUseIndexTest, DeadListsExactAtBoundaries)
@@ -155,20 +130,8 @@ TEST(NextUseIndexTest, SliceRebuildConsistency)
     // the suffix and must not inherit full-trace lifetimes.
     const Trace trace = RandomTrace(13, 32, 2, 8, 40, 0.9);
     const Trace suffix = trace.Slice(10, 28);
-    const NextUseIndex index = suffix.BuildNextUseIndex();
     ASSERT_EQ(suffix.NumSteps(), 18u);
-    for (std::size_t s = 0; s < suffix.NumSteps(); ++s) {
-        for (std::uint32_t g = 0; g < suffix.n_gpus(); ++g) {
-            const auto &keys = suffix.KeysFor(s, g);
-            const auto hints = index.HintRow(s, g);
-            ASSERT_EQ(hints.size(), keys.size());
-            for (std::size_t i = 0; i < keys.size(); ++i) {
-                EXPECT_EQ(hints[i],
-                          BruteNextUse(suffix, keys[i],
-                                       static_cast<Step>(s)));
-            }
-        }
-    }
+    ExpectIndexMatchesBruteForce(suffix);
 }
 
 TEST(NextUseIndexTest, SameStepCrossGpuReadsAreNotSuccessors)
@@ -207,8 +170,41 @@ TEST(NextUseIndexTest, EmptyAndDefaultIndex)
     const NextUseIndex empty;
     EXPECT_EQ(empty.NumSteps(), 0u);
     EXPECT_EQ(empty.distinct_keys(), 0u);
-    EXPECT_EQ(empty.FirstUse(0), NextUseIndex::kNever);
-    EXPECT_EQ(empty.NextUseAfter(0, 0), NextUseIndex::kNever);
+}
+
+TEST(NextUseIndexTest, DegenerateTracesMatchBruteForce)
+{
+    // GPU 1 reads nothing at steps 0 and 2, GPU 2 nothing at all.
+    {
+        StepKeys s0;
+        s0.per_gpu = {{4, 1}, {}, {}};
+        StepKeys s1;
+        s1.per_gpu = {{1}, {4, 2}, {}};
+        StepKeys s2;
+        s2.per_gpu = {{2}, {}, {}};
+        ExpectIndexMatchesBruteForce(Trace({s0, s1, s2}, 8, 3));
+    }
+    // One step: every hint is kNever, every key dies after step 0.
+    {
+        StepKeys only;
+        only.per_gpu = {{3, 1, 2}, {2, 5}};
+        const Trace trace({only}, 8, 2);
+        ExpectIndexMatchesBruteForce(trace);
+        EXPECT_EQ(trace.BuildNextUseIndex().DeadAfter(0).size(), 4u);
+    }
+    // One key read by every GPU at every step: each hint is the next
+    // step, and the key dies only after the last one.
+    {
+        StepKeys every;
+        every.per_gpu = {{6}, {6}, {6}};
+        const Trace trace(std::vector<StepKeys>(5, every), 8, 3);
+        ExpectIndexMatchesBruteForce(trace);
+        const NextUseIndex index = trace.BuildNextUseIndex();
+        EXPECT_EQ(index.HintRow(2, 1)[0], 3u);
+        EXPECT_TRUE(index.DeadAfter(3).empty());
+        ASSERT_EQ(index.DeadAfter(4).size(), 1u);
+        EXPECT_EQ(index.distinct_keys(), 1u);
+    }
 }
 
 }  // namespace
