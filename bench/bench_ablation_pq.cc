@@ -76,7 +76,7 @@ main()
     double times[2];
     int idx = 0;
     for (bool enabled : {false, true}) {
-        GEntryRegistry registry(64);
+        GEntryRegistry registry(kEntries);
         TwoLevelPQConfig config;
         config.max_step = kMaxStep;
         TwoLevelPQ queue(config);
@@ -97,15 +97,16 @@ main()
                 100.0 * (1.0 - times[1] / times[0]));
 
     // --- batched dequeue --------------------------------------------------
+    constexpr std::size_t kBatchEntries = 200'000;
     TablePrinter batch_table("Batched dequeue (drain 200k entries)",
                              {"Batch size", "drain time"});
     for (std::size_t batch : {1u, 4u, 16u, 64u, 256u}) {
-        GEntryRegistry registry(64);
+        GEntryRegistry registry(kBatchEntries);
         TwoLevelPQConfig config;
         config.max_step = kMaxStep;
         TwoLevelPQ queue(config);
         Rng rng(6);
-        Preload(queue, registry, 200'000, kFloor, 10'000, rng);
+        Preload(queue, registry, kBatchEntries, kFloor, 10'000, rng);
         queue.SetScanBounds(kFloor, kFloor + 10'000);
         batch_table.AddRow({std::to_string(batch),
                             FormatSeconds(DrainAll(queue, batch))});

@@ -82,21 +82,26 @@ main()
                       "batch 2000)",
                       {"Preloaded entries", "TreeHeap", "two-level PQ",
                        "speedup"});
+    constexpr std::size_t kBatch = 2000;
+    constexpr std::size_t kBatches = 20;
     for (std::size_t preload : {100'000u, 400'000u, 1'600'000u}) {
+        // MeasureBatchUpdateTime touches keys [0, preload + kBatch *
+        // kBatches).
+        const std::size_t key_space = preload + kBatch * kBatches;
         double tree_time, two_time;
         {
-            GEntryRegistry registry(64);
+            GEntryRegistry registry(key_space);
             TreeHeapPQ queue;
             tree_time = MeasureBatchUpdateTime(queue, registry, preload,
-                                               2000, 20);
+                                               kBatch, kBatches);
         }
         {
-            GEntryRegistry registry(64);
+            GEntryRegistry registry(key_space);
             TwoLevelPQConfig config;
             config.max_step = 20'001;
             TwoLevelPQ queue(config);
             two_time = MeasureBatchUpdateTime(queue, registry, preload,
-                                              2000, 20);
+                                              kBatch, kBatches);
         }
         real.AddRow({FormatCount(static_cast<double>(preload)),
                      FormatSeconds(tree_time), FormatSeconds(two_time),

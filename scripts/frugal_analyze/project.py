@@ -57,7 +57,7 @@ def module_of(path: str) -> Optional[str]:
 
 LOCK_RANKS: Dict[str, int] = {
     "kUnranked": 0,
-    "kRegistryShard": 10,
+    "kRegistry": 10,
     "kRecoverySlot": 15,
     "kGEntry": 20,
     "kFlushQueue": 30,
@@ -93,6 +93,7 @@ HOT_FUNCTIONS = (
     # step's newly pending entries through the PQ's batch, whose copies
     # publish per (bucket, shard) after the pass.
     "Pipeline::PlanStep",
+    "GEntryRegistry::GetOrCreate",
     "Pipeline::RegisterStep",
     "GEntry::AddWriteLocked",
     "PropagatePriorityBatchedLocked",

@@ -15,23 +15,20 @@
  *    never reallocated, so addresses are stable forever;
  *  - there is no per-object free: the arena owns everything until it is
  *    destroyed (exactly the registry's retain-for-the-run lifetime);
- *  - `std::allocator<T>` provides storage, so alignment of any
- *    over-aligned T is honoured.
+ *  - `std::allocator<T>` provides storage, so an over-aligned T keeps
+ *    its alignment (GEntry is cache-line aligned).
  *
- * Not thread-safe; callers serialise exactly as they would around the
- * container the arena backs (the registry allocates under its shard
- * lock).
+ * Not thread-safe; callers serialise creation (the registry creates
+ * entries under its creation lock).
  */
 #ifndef FRUGAL_COMMON_ARENA_H_
 #define FRUGAL_COMMON_ARENA_H_
 
 #include <cstddef>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
-#include "common/fault_injector.h"
 #include "common/logging.h"
 
 namespace frugal {
@@ -69,12 +66,6 @@ class ChunkArena
     Create(Args &&...args)
     {
         if (chunks_.empty() || chunks_.back().used == chunk_capacity_) {
-            // Injected growth failure fires *before* any allocation or
-            // bookkeeping: the arena is untouched (strong guarantee),
-            // so the caller may retry the Create.
-            if (FaultPoint(injector_, FaultSite::kAllocFailure,
-                           chunks_.size()))
-                throw std::bad_alloc();
             std::allocator<T> alloc;
             // alloc-ok: one chunk allocation per chunk_capacity_ Creates;
             // amortized to near-zero on the per-object path.
@@ -102,10 +93,6 @@ class ChunkArena
         return chunks_.size() * chunk_capacity_ * sizeof(T);
     }
 
-    /** Arms (or disarms, nullptr) the kAllocFailure growth fault point.
-     *  Caller-owned injector; same serialisation rules as Create. */
-    void ArmFaultInjector(FaultInjector *injector) { injector_ = injector; }
-
     /** Visits every object in creation order. */
     template <typename Fn>
     void
@@ -127,7 +114,6 @@ class ChunkArena
     const std::size_t chunk_capacity_;
     std::vector<Chunk> chunks_;
     std::size_t size_ = 0;
-    FaultInjector *injector_ = nullptr;
 };
 
 }  // namespace frugal

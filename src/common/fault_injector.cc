@@ -34,8 +34,6 @@ FaultSiteName(FaultSite site)
         return "checkpoint-truncate";
     case FaultSite::kCheckpointCorrupt:
         return "checkpoint-corrupt";
-    case FaultSite::kAllocFailure:
-        return "alloc-failure";
     case FaultSite::kCheckpointTornWrite:
         return "checkpoint-torn-write";
     case FaultSite::kSiteCount:

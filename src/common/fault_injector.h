@@ -32,12 +32,6 @@
  *                           committed under the final name;
  *  - kCheckpointCorrupt   — one payload byte of the checkpoint temp
  *                           file is flipped before rename;
- *  - kAllocFailure        — a container growth allocation (ChunkArena
- *                           chunk, FlatMap rehash) fails with
- *                           std::bad_alloc *before* any state changes,
- *                           so the container stays intact and the
- *                           operation is retryable (context: the
- *                           container's growth ordinal);
  *  - kCheckpointTornWrite — the checkpoint temp-file write stage dies
  *                           mid-stream *before* fsync: only a prefix of
  *                           the image reaches the file and SaveCheckpoint
@@ -67,7 +61,6 @@ enum class FaultSite : std::uint8_t {
     kTrainerDeath,
     kCheckpointTruncate,
     kCheckpointCorrupt,
-    kAllocFailure,
     kCheckpointTornWrite,
     kSiteCount,  // sentinel; keep last
 };

@@ -28,12 +28,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/fault_injector.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -92,10 +90,8 @@ class FlatMap
         std::size_t target = kMinCapacity;
         while (target * 7 < expected * 8)
             target <<= 1;
-        if (target > slots_.size()) {
-            MaybeInjectGrowthFailure();
+        if (target > slots_.size())
             Rehash(target);
-        }
     }
 
     /** Pointer to the value for `key`, or nullptr. */
@@ -253,13 +249,6 @@ class FlatMap
     /** Bytes of slot storage currently allocated. */
     std::size_t MemoryBytes() const { return slots_.size() * sizeof(Slot); }
 
-    /** Arms (or disarms, nullptr) the kAllocFailure growth fault point.
-     *  Injected failures model the *planned* growth allocations
-     *  (Reserve, load-factor growth) and throw std::bad_alloc before
-     *  any mutation, so the map is unchanged and the insert can be
-     *  retried. Same serialisation rules as every other mutator. */
-    void ArmFaultInjector(FaultInjector *injector) { injector_ = injector; }
-
   private:
     struct Slot
     {
@@ -277,36 +266,21 @@ class FlatMap
     HomeOf(const K &key) const
     {
         // Home on the TOP log2(capacity) bits. The data plane partitions
-        // keys externally with `MixHash64(key) % n` (cache ownership,
-        // registry shards); with n a power of two that fixes the LOW
-        // bits of every key reaching one map, and low-bit homing would
-        // cluster them on every n-th slot. The top bits stay independent
-        // of any such modulus.
+        // keys externally with `MixHash64(key) % n` (cache ownership);
+        // with n a power of two that fixes the LOW bits of every key
+        // reaching one map, and low-bit homing would cluster them on
+        // every n-th slot. The top bits stay independent of any such
+        // modulus.
         return static_cast<std::size_t>(Hash{}(key) >> shift_);
     }
 
     void
     GrowIfNeeded()
     {
-        if (slots_.empty()) {
-            MaybeInjectGrowthFailure();
+        if (slots_.empty())
             Rehash(kMinCapacity);
-        } else if ((size_ + 1) * 8 > slots_.size() * 7) {
-            MaybeInjectGrowthFailure();
+        else if ((size_ + 1) * 8 > slots_.size() * 7)
             Rehash(slots_.size() * 2);
-        }
-    }
-
-    /** Fires the armed kAllocFailure rule (if any) *before* a planned
-     *  growth touches state — strong guarantee, see ArmFaultInjector.
-     *  The mid-displacement growth inside InsertUncounted is left
-     *  uninstrumented on purpose: failing there could drop the carried
-     *  element, and that path is unreachable below kMaxProbe anyway. */
-    void
-    MaybeInjectGrowthFailure()
-    {
-        if (FaultPoint(injector_, FaultSite::kAllocFailure, slots_.size()))
-            throw std::bad_alloc();
     }
 
     /**
@@ -374,7 +348,6 @@ class FlatMap
      *  meaningful once slots_ is non-empty (Rehash maintains it). */
     unsigned shift_ = 63;
     std::size_t size_ = 0;
-    FaultInjector *injector_ = nullptr;
 };
 
 }  // namespace frugal

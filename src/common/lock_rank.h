@@ -12,12 +12,12 @@
  * The rank order, lowest acquired first (see DESIGN.md "Concurrency
  * model" for the full derivation):
  *
- *   kRegistryShard < kRecoverySlot < kGEntry < kFlushQueue < kTableRow
+ *   kRegistry < kRecoverySlot < kGEntry < kFlushQueue < kTableRow
  *     < kGpuCache
  *
- *  - GEntryRegistry shard locks protect only the Key→GEntry map; the
- *    registry's ForEach visits entries (which lock themselves) under
- *    the shard lock, so shards rank below entries.
+ *  - The GEntryRegistry creation lock serialises only first-touch entry
+ *    creation; the registry's ForEach visits entries (which lock
+ *    themselves) under it, so it ranks below entries.
  *  - Flusher-slot locks (the crash-recovery claim ledgers each flush
  *    thread publishes for the watchdog) guard only a ticket vector.
  *    They are designed as leaves — bookkeeping happens before or after
@@ -55,7 +55,7 @@ namespace frugal {
 /** Global lock-acquisition levels, lowest acquired first. */
 enum class LockRank : std::uint8_t {
     kUnranked = 0,       ///< excluded from order checking (leaf-only)
-    kRegistryShard = 10, ///< GEntryRegistry shard map locks
+    kRegistry = 10,      ///< GEntryRegistry entry-creation lock
     kRecoverySlot = 15,  ///< flusher-slot claim ledgers (watchdog recovery)
     kGEntry = 20,        ///< per-parameter g-entry locks
     kFlushQueue = 30,    ///< FlushQueue-internal locks (TreeHeapPQ heap)

@@ -8,8 +8,6 @@ MemoryComponentName(MemoryComponent component)
     switch (component) {
     case MemoryComponent::kArena:
         return "arena";
-    case MemoryComponent::kFlatMap:
-        return "flat-map";
     case MemoryComponent::kCache:
         return "cache";
     case MemoryComponent::kQueue:

@@ -4,8 +4,8 @@
  *
  * Frugal targets capacity-constrained commodity hosts, so "resources
  * ran out" is an operating mode, not an error. The MemoryBudget tracks
- * the bytes held by the engine's dynamic components — g-entry arenas,
- * flat-map indexes, GPU caches, the update staging board — against a
+ * the bytes held by the engine's dynamic components — the g-entry
+ * registry, GPU caches, the update staging board — against a
  * caller-set budget and classifies the total into pressure stages:
  *
  *   kNormal    usage < 70% of budget — run at full configuration.
@@ -40,11 +40,9 @@ namespace frugal {
 
 /** The dynamic allocations the budget tracks, one gauge each. */
 enum class MemoryComponent : std::uint8_t {
-    /** ChunkArena chunks (g-entry storage). */
+    /** The g-entry registry: its key-indexed slots and entry arena. */
     kArena = 0,
-    /** FlatMap slot arrays (registry + cache indexes). */
-    kFlatMap,
-    /** GpuCache row storage + LRU bookkeeping. */
+    /** GpuCache row storage, index and replacement bookkeeping. */
     kCache,
     /** Staging payload: the gradient buffers the staging board retains
      *  between steps (about one step's) plus the prefetcher's plan ring

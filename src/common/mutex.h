@@ -66,31 +66,6 @@ class FRUGAL_CAPABILITY("mutex") Mutex
         return status;
     }
 
-    /** As WaitFor against an absolute deadline — the building block for
-     *  predicate loops that must not extend their total wait on every
-     *  spurious wakeup. */
-    template <typename Clock, typename Duration>
-    std::cv_status
-    WaitUntil(std::condition_variable &cv,
-              const std::chrono::time_point<Clock, Duration> &deadline)
-        FRUGAL_REQUIRES(this)
-    {
-        std::unique_lock<std::mutex> held(mutex_, std::adopt_lock);
-        const std::cv_status status = cv.wait_until(held, deadline);
-        held.release();
-        return status;
-    }
-
-    /** Untimed wait on `cv`; same release/reacquire contract as WaitFor.
-     *  Re-check the predicate in a loop — spurious wakeups happen. */
-    void
-    Wait(std::condition_variable &cv) FRUGAL_REQUIRES(this)
-    {
-        std::unique_lock<std::mutex> held(mutex_, std::adopt_lock);
-        cv.wait(held);
-        held.release();
-    }
-
   private:
     std::mutex mutex_;
 };

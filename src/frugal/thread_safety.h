@@ -3,9 +3,9 @@
  * Clang Thread Safety Analysis annotations for Frugal's lock discipline.
  *
  * These macros put the repo's locking contracts — "callers of *Locked
- * methods must hold the entry lock", "the shard map is guarded by the
- * shard lock" — into a form the compiler can *prove* instead of a form
- * reviewers can only read. Under Clang with `-Wthread-safety` (the
+ * methods must hold the entry lock", "the entry arena is guarded by the
+ * creation lock" — into a form the compiler can *prove* instead of
+ * prose that can only be read. Under Clang with `-Wthread-safety` (the
  * `tsa` CMake preset turns it into `-Werror=thread-safety`), touching a
  * FRUGAL_GUARDED_BY field without holding its capability, or calling a
  * FRUGAL_REQUIRES function outside the lock, is a compile error. Under

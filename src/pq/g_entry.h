@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cacheline.h"
 #include "common/logging.h"
 #include "common/spinlock.h"
 #include "common/types.h"
@@ -53,8 +54,12 @@ struct WriteRecord
     std::chrono::steady_clock::time_point staged{};
 };
 
-/** Metadata for one parameter (§3.3). */
-class GEntry
+/**
+ * Metadata for one parameter (§3.3). Line-aligned, so two entries never
+ * share a cache line: flush threads and the step-boundary registration
+ * lock and write different entries concurrently.
+ */
+class alignas(kCacheLineSize) GEntry
 {
   public:
     explicit GEntry(Key key) : key_(key) {}

@@ -41,9 +41,9 @@ TwoLevelPQ::BucketIndex(Priority priority) const
 std::size_t
 TwoLevelPQ::ShardOf(const GEntry *entry) const
 {
-    // The same mix the registry shards by; a key's shard is a pure
-    // function of the key, so every copy of an entry (live or stale)
-    // lives in the same sub-set of whichever bucket holds it.
+    // A key's shard is a pure function of the key, so every copy of
+    // an entry (live or stale) lives in the same sub-set of whichever
+    // bucket holds it.
     return n_shards_ == 1 ? 0 : MixHash64(entry->key()) % n_shards_;
 }
 

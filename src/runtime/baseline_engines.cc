@@ -64,7 +64,6 @@ RunSync(Engine &engine, const Trace &trace, const GradFn &grad_fn,
     std::vector<std::vector<float>> grad_slots(n_gpus);
     std::vector<PendingRef> pending;
     std::vector<const float *> run_grads;
-    std::vector<float> scratch_row(config.dim);
     double commit_seconds_total = 0.0;
     StatAccumulator commit_per_step;
     std::uint64_t updates_applied = 0;
@@ -106,10 +105,9 @@ RunSync(Engine &engine, const Trace &trace, const GradFn &grad_fn,
                 updates_applied += run_grads.size();
                 if (mode != SyncMode::kNoCache) {
                     // Refresh the owner's cached copy with the committed
-                    // row.
-                    table.ReadRow(key, scratch_row.data());
+                    // row, read in place: every trainer is parked.
                     caches[ownership.OwnerOf(key)]->UpdateIfPresent(
-                        key, scratch_row.data());
+                        key, table.Row(key));
                 }
             }
             const auto commit_end = std::chrono::steady_clock::now();

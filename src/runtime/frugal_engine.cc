@@ -264,12 +264,6 @@ class Pipeline
               std::bind_front(&Pipeline::Recover, this),
               std::bind_front(&Pipeline::Diagnose, this))
     {
-        if (injector_ != nullptr) {
-            // Arm the container growth fault points (kAllocFailure).
-            // Plans without a rule for that site see zero behaviour
-            // change.
-            registry_.ArmFaultInjector(injector_);
-        }
         for (std::uint32_t g = 0; g < n_gpus_; ++g) {
             caches_.push_back(std::make_unique<GpuCache>(
                 config.CacheRowsPerGpu(), config.dim,
@@ -505,9 +499,7 @@ class Pipeline
         PressureStage reacted = PressureStage::kNormal;
         while (!monitor_stop_.load(std::memory_order_acquire)) {
             budget_->Publish(MemoryComponent::kArena,
-                             registry_.ArenaBytes());
-            budget_->Publish(MemoryComponent::kFlatMap,
-                             registry_.IndexBytes());
+                             registry_.MemoryBytes());
             std::size_t cache_total = 0;
             for (const auto &cache : caches_)
                 cache_total += cache->MemoryBytes();
@@ -992,9 +984,9 @@ class Pipeline
      * a key's W records always *arrive* in canonical order (a flush may
      * otherwise split one step's records for a key across two flushes
      * and apply them in whatever order the GPUs emitted them). It also
-     * lists the unique keys and resolves their g-entries in one batched
-     * registry call (one shard lock per same-shard run); each entry then
-     * gets one RegisterRead for step f.
+     * lists the unique keys and resolves their g-entries (one slot load
+     * per key once it exists); each entry then gets one RegisterRead for
+     * step f.
      */
     void
     PlanStep(Step f)
@@ -1068,7 +1060,7 @@ class Pipeline
         std::size_t i = 0;
         for (std::size_t run = 0; run < plan.entries.size(); ++run) {
             if (run + kPrefetchDistance < plan.entries.size()) {
-                // A GEntry straddles two cache lines.
+                // A GEntry fills two whole cache lines.
                 const char *ahead = reinterpret_cast<const char *>(
                     plan.entries[run + kPrefetchDistance]);
                 __builtin_prefetch(ahead, 1);
@@ -1310,21 +1302,17 @@ class Pipeline
 
     /**
      * "H2D": copies the committed row into the owner's cache if the key
-     * is resident there (the caller holds the g-entry lock, so the row
-     * is the committed host value). A non-resident key is left to the
-     * prefetcher's warm and the trainer's demand fill. Also runs on the
-     * watchdog thread when reclaiming abandoned claims, hence the
-     * thread-local row buffer.
+     * is resident there. A non-resident key is left to the prefetcher's
+     * warm and the trainer's demand fill. The row is read in place: the
+     * caller holds the g-entry lock, under which every write to this
+     * row happens, so it is the committed host value and no row lock is
+     * needed.
      */
     void
     RefreshCache(Key key)
     {
-        thread_local std::vector<float> row;
-        // alloc-ok: thread_local scratch; after the first call on each
-        // thread this resize never reallocates (dim is run-constant).
-        row.resize(config_.dim);
-        table_.ReadRow(key, row.data());
-        caches_[ownership_.OwnerOf(key)]->UpdateIfPresent(key, row.data());
+        caches_[ownership_.OwnerOf(key)]->UpdateIfPresent(key,
+                                                          table_.Row(key));
     }
 
     // --- step boundary stages ------------------------------------------
@@ -1577,7 +1565,7 @@ class Pipeline
     // (Run rejects zero flush threads).
     TwoLevelPQ queue_{TwoLevelPQConfig{.max_step = n_steps_,
                                        .n_shards = config_.flush_threads}};
-    GEntryRegistry registry_{64, config_.key_space};
+    GEntryRegistry registry_{config_.key_space};
     std::vector<std::unique_ptr<GpuCache>> caches_;
     // The next-use oracle (DESIGN.md §13): the trace is fully
     // materialized, so the future is known — one backward pass builds

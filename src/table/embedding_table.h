@@ -68,8 +68,10 @@ class HostEmbeddingTable
     /** As above into one contiguous buffer: row i at out + i*dim(). */
     void ReadRows(const Key *keys, std::size_t n, float *out) const;
 
-    /** Direct pointer to a row; caller must ensure exclusion (tests and
-     *  single-threaded oracles only). */
+    /** Direct pointer to a row; caller must ensure exclusion: tests,
+     *  single-threaded oracles, the sync engine's commit (every trainer
+     *  parked) and the flush path's cache refresh (under the key's
+     *  g-entry lock, which every concurrent write of the row holds). */
     float *MutableRow(Key key);
     const float *Row(Key key) const;
 

@@ -98,53 +98,5 @@ TEST(ChunkArenaTest, NonTrivialConstructorArguments)
     EXPECT_EQ(pair->b, 4u);
 }
 
-TEST(ChunkArenaTest, InjectedGrowthFailureIsStrongAndRetryable)
-{
-    // The first two chunk growths fail. Each failed Create must leave
-    // the arena untouched (no size change, no chunk) and a plain retry
-    // must succeed once the window passes.
-    FaultPlan plan;
-    FaultRule rule;
-    rule.site = FaultSite::kAllocFailure;
-    rule.until_hit = 2;
-    plan.rules.push_back(rule);
-    FaultInjector injector(plan);
-
-    ChunkArena<std::uint64_t> arena(2);
-    arena.ArmFaultInjector(&injector);
-    EXPECT_THROW((void)arena.Create(1u), std::bad_alloc);
-    EXPECT_EQ(arena.size(), 0u);
-    EXPECT_EQ(arena.chunks(), 0u);
-    EXPECT_EQ(arena.MemoryBytes(), 0u);
-    EXPECT_THROW((void)arena.Create(1u), std::bad_alloc);
-    std::uint64_t *value = arena.Create(7u);  // window passed
-    ASSERT_NE(value, nullptr);
-    EXPECT_EQ(*value, 7u);
-    EXPECT_EQ(arena.size(), 1u);
-    EXPECT_EQ(arena.chunks(), 1u);
-
-    // Growth of a *full* arena fails the same way without disturbing
-    // existing objects.
-    FaultPlan second_plan;
-    FaultRule second_rule;
-    second_rule.site = FaultSite::kAllocFailure;
-    second_rule.until_hit = 1;
-    second_plan.rules.push_back(second_rule);
-    FaultInjector second_injector(second_plan);
-    std::uint64_t *second = arena.Create(8u);  // fills chunk 0
-    arena.ArmFaultInjector(&second_injector);
-    EXPECT_THROW((void)arena.Create(9u), std::bad_alloc);
-    EXPECT_EQ(arena.size(), 2u);
-    EXPECT_EQ(*value, 7u);
-    EXPECT_EQ(*second, 8u);
-    std::uint64_t *third = arena.Create(9u);
-    EXPECT_EQ(*third, 9u);
-    EXPECT_EQ(arena.chunks(), 2u);
-
-    arena.ArmFaultInjector(nullptr);  // disarm: no further throws
-    (void)arena.Create(10u);
-    EXPECT_EQ(arena.size(), 4u);
-}
-
 }  // namespace
 }  // namespace frugal

@@ -228,57 +228,5 @@ TEST(FlatMapTest, PointerValues)
     EXPECT_EQ(**map.Find(2), 2);
 }
 
-TEST(FlatMapTest, InjectedGrowthFailureIsStrongAndRetryable)
-{
-    FaultPlan plan;
-    FaultRule rule;
-    rule.site = FaultSite::kAllocFailure;
-    rule.until_hit = 1;
-    plan.rules.push_back(rule);
-
-    // Reserve: a failing planned growth leaves the map empty and
-    // reusable.
-    {
-        FaultInjector injector(plan);
-        FlatMap<std::uint64_t, std::uint32_t> map;
-        map.ArmFaultInjector(&injector);
-        EXPECT_THROW(map.Reserve(1000), std::bad_alloc);
-        EXPECT_EQ(map.size(), 0u);
-        EXPECT_EQ(map.capacity(), 0u);
-        map.Reserve(1000);  // window passed: retry succeeds
-        EXPECT_GE(map.capacity(), 1000u);
-    }
-
-    // Load-factor growth inside TryEmplace: the element whose insert
-    // triggered the failed growth is NOT inserted, everything already
-    // present survives, and retrying the same insert succeeds.
-    {
-        FlatMap<std::uint64_t, std::uint32_t> map;
-        std::uint64_t key = 0;
-        // Fill until the *next* insert must grow.
-        while ((map.size() + 1) * 8 <= map.capacity() * 7 ||
-               map.capacity() == 0) {
-            map.TryEmplace(key, static_cast<std::uint32_t>(key));
-            ++key;
-        }
-        const std::size_t before_size = map.size();
-        const std::size_t before_cap = map.capacity();
-        FaultInjector injector(plan);
-        map.ArmFaultInjector(&injector);
-        EXPECT_THROW(map.TryEmplace(key, 99u), std::bad_alloc);
-        EXPECT_EQ(map.size(), before_size);
-        EXPECT_EQ(map.capacity(), before_cap);
-        EXPECT_EQ(map.Find(key), nullptr);
-        for (std::uint64_t k = 0; k < key; ++k) {
-            ASSERT_NE(map.Find(k), nullptr) << "lost key " << k;
-            EXPECT_EQ(*map.Find(k), static_cast<std::uint32_t>(k));
-        }
-        auto [value, inserted] = map.TryEmplace(key, 99u);  // retry
-        EXPECT_TRUE(inserted);
-        EXPECT_EQ(*value, 99u);
-        EXPECT_GT(map.capacity(), before_cap);
-    }
-}
-
 }  // namespace
 }  // namespace frugal

@@ -21,11 +21,10 @@ TEST(MemoryBudgetTest, GaugesOverwriteAndSum)
     MemoryBudget budget(1000);
     budget.Publish(MemoryComponent::kArena, 100);
     budget.Publish(MemoryComponent::kArena, 40);  // gauge, not counter
-    budget.Publish(MemoryComponent::kFlatMap, 10);
     budget.Publish(MemoryComponent::kCache, 20);
     budget.Publish(MemoryComponent::kQueue, 30);
     EXPECT_EQ(budget.bytes(MemoryComponent::kArena), 40u);
-    EXPECT_EQ(budget.TotalBytes(), 100u);
+    EXPECT_EQ(budget.TotalBytes(), 90u);
 }
 
 TEST(MemoryBudgetTest, StagesEngageAtThresholds)

@@ -15,7 +15,6 @@
 
 #include "common/distribution.h"
 #include "common/fault_injector.h"
-#include "pq/g_entry_registry.h"
 #include "runtime/frugal_engine.h"
 #include "runtime/microtask.h"
 #include "runtime/oracle.h"
@@ -266,62 +265,6 @@ TEST(FaultToleranceTest, TransientWriteFailuresRetriedExactly)
     EXPECT_EQ(report.recovery.faults_injected, 3u);
     EXPECT_EQ(report.audit_violations, 0u);
     ExpectOracleEqual(engine, trace, task);
-}
-
-TEST(FaultToleranceTest, RegistryAllocFailureIsStrongAndRetryable)
-{
-    // A firing growth fault throws std::bad_alloc out of GetOrCreate
-    // with the shard untouched (strong guarantee); a plain retry of the
-    // same key must succeed. Covers both growth sites: the shard's
-    // FlatMap index fires first, the entry arena on the next window.
-    FaultPlan plan;
-    FaultRule rule;
-    rule.site = FaultSite::kAllocFailure;
-    rule.until_hit = 1;
-    plan.rules.push_back(rule);
-    FaultInjector injector(plan);
-    GEntryRegistry registry(4);
-    registry.ArmFaultInjector(&injector);
-    EXPECT_THROW((void)registry.GetOrCreate(42), std::bad_alloc);
-    EXPECT_EQ(registry.size(), 0u);
-    EXPECT_EQ(registry.Find(42), nullptr);
-    GEntry &entry = registry.GetOrCreate(42);  // retry succeeds
-    EXPECT_EQ(entry.key(), 42u);
-    EXPECT_EQ(registry.size(), 1u);
-    EXPECT_EQ(injector.fires(FaultSite::kAllocFailure), 1u);
-    registry.ArmFaultInjector(nullptr);  // disarm
-    (void)registry.GetOrCreate(43);
-    EXPECT_EQ(registry.size(), 2u);
-}
-
-TEST(FaultToleranceTest, RegistryBatchAllocFailureLeavesShardRetryable)
-{
-    // Batched get-or-create hits the same fault points; the throw may
-    // leave a *prefix* of the batch created (each key is atomic, the
-    // batch is not), and rerunning the identical batch must converge
-    // with no duplicates or lost keys.
-    FaultPlan plan;
-    FaultRule rule;
-    rule.site = FaultSite::kAllocFailure;
-    rule.from_hit = 1;
-    rule.until_hit = 2;
-    plan.rules.push_back(rule);
-    FaultInjector injector(plan);
-    GEntryRegistry registry(2);
-    registry.ArmFaultInjector(&injector);
-    const std::vector<Key> keys{1, 2, 3, 4, 5, 6, 7, 8};
-    std::vector<GEntry *> out(keys.size(), nullptr);
-    try {
-        registry.GetOrCreateBatch(keys, out.data());
-    } catch (const std::bad_alloc &) {
-    }
-    std::fill(out.begin(), out.end(), nullptr);
-    registry.GetOrCreateBatch(keys, out.data());  // retry converges
-    EXPECT_EQ(registry.size(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_NE(out[i], nullptr);
-        EXPECT_EQ(out[i]->key(), keys[i]);
-    }
 }
 
 TEST(FaultToleranceTest, FlushThreadDeathRecoveredBitEqual)

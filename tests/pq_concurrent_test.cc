@@ -58,7 +58,7 @@ TEST_P(PqConcurrentTest, GatedTrainingPreservesInvariantAndConserves)
     const Step lookahead = 4;
 
     auto queue = MakeQueue(param.queue, param.steps);
-    GEntryRegistry registry(16);
+    GEntryRegistry registry(param.keys);
 
     // Pre-generate the whole trace (deduped keys per step).
     Rng rng(1234);

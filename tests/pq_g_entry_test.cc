@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <new>
 #include <span>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "pq/g_entry_registry.h"
 
 // Counting global allocator: every test file is its own executable, so
@@ -311,20 +316,27 @@ TEST(GEntryTest, NextReadReported)
     });
 }
 
+static_assert(alignof(GEntry) == 64,
+              "g-entries must not share a cache line");
+
 TEST(GEntryRegistryTest, GetOrCreateIsStable)
 {
-    GEntryRegistry registry(8);
+    GEntryRegistry registry(64);
     GEntry &a = registry.GetOrCreate(42);
     GEntry &b = registry.GetOrCreate(42);
     EXPECT_EQ(&a, &b);
+    EXPECT_EQ(a.key(), 42u);
     EXPECT_EQ(registry.size(), 1u);
-    EXPECT_EQ(registry.Find(42), &a);
-    EXPECT_EQ(registry.Find(43), nullptr);
+    GEntry &c = registry.GetOrCreate(43);
+    EXPECT_NE(&c, &a);
+    EXPECT_EQ(registry.size(), 2u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&a) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&c) % 64, 0u);
 }
 
 TEST(GEntryRegistryTest, ForEachVisitsAll)
 {
-    GEntryRegistry registry(4);
+    GEntryRegistry registry(100);
     for (Key k = 0; k < 100; ++k)
         registry.GetOrCreate(k);
     int visited = 0;
@@ -335,7 +347,7 @@ TEST(GEntryRegistryTest, ForEachVisitsAll)
 
 TEST(GEntryRegistryTest, GetOrCreateBatchMatchesSingles)
 {
-    GEntryRegistry batched(8), singles(8);
+    GEntryRegistry batched(1001), singles(1001);
     // Unsorted keys with duplicates and a key that already exists.
     batched.GetOrCreate(17);
     singles.GetOrCreate(17);
@@ -357,11 +369,11 @@ TEST(GEntryRegistryTest, GetOrCreateBatchMatchesSingles)
 
 TEST(GEntryRegistryTest, GetOrCreateBatchEmptyAndLarge)
 {
-    GEntryRegistry registry(8);
+    GEntryRegistry registry(600 * 31);
     registry.GetOrCreateBatch(std::span<const Key>{}, nullptr);
     EXPECT_EQ(registry.size(), 0u);
 
-    // Enough keys to span every shard and force arena block growth.
+    // Enough keys to force arena chunk growth.
     std::vector<Key> keys;
     for (Key k = 0; k < 600; ++k)
         keys.push_back(k * 31 + 5);
@@ -369,7 +381,96 @@ TEST(GEntryRegistryTest, GetOrCreateBatchEmptyAndLarge)
     registry.GetOrCreateBatch(keys, out.data());
     EXPECT_EQ(registry.size(), keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i)
-        EXPECT_EQ(out[i], registry.Find(keys[i])) << i;
+        EXPECT_EQ(out[i], &registry.GetOrCreate(keys[i])) << i;
+    EXPECT_EQ(registry.size(), keys.size());
+}
+
+TEST(GEntryRegistryTest, ConcurrentFirstTouchCreatesOneEntryPerKey)
+{
+    // Four threads resolve overlapping key sets, each in its own
+    // shuffled order, alternating single and batched calls, all released
+    // at once: most keys' first touches race. Thread t skips the keys
+    // k with k % 5 == t, so every key below kTouched is resolved by
+    // three or four threads, and the keys above it by none.
+    constexpr int kThreads = 4;
+    constexpr std::size_t kKeySpace = 4096;
+    constexpr std::size_t kTouched = 3000;
+    constexpr std::size_t kChunk = 64;
+    GEntryRegistry registry(kKeySpace);
+    std::vector<std::vector<Key>> keys(kThreads);
+    std::vector<std::vector<GEntry *>> got(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        for (Key k = 0; k < kTouched; ++k) {
+            if (k % 5 != static_cast<Key>(t))
+                keys[t].push_back(k);
+        }
+        Rng rng(100 + t);
+        std::shuffle(keys[t].begin(), keys[t].end(), rng);
+        got[t].assign(keys[t].size(), nullptr);
+    }
+    std::vector<int> wrong_keys(kThreads, 0);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const std::vector<Key> &mine = keys[t];
+            std::vector<GEntry *> &out = got[t];
+            start.arrive_and_wait();
+            for (std::size_t i = 0; i < mine.size(); i += kChunk) {
+                const std::size_t n = std::min(kChunk, mine.size() - i);
+                if ((i / kChunk) % 2 == 0) {
+                    for (std::size_t j = i; j < i + n; ++j)
+                        out[j] = &registry.GetOrCreate(mine[j]);
+                } else {
+                    registry.GetOrCreateBatch(
+                        std::span<const Key>(mine).subspan(i, n),
+                        out.data() + i);
+                }
+                // Read each entry on this thread, most of them built by
+                // another: TSan reports an entry published without
+                // release/acquire ordering.
+                for (std::size_t j = i; j < i + n; ++j)
+                    wrong_keys[t] += out[j]->key() != mine[j] ? 1 : 0;
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(wrong_keys[t], 0) << "thread " << t;
+
+    std::vector<GEntry *> entry_of(kKeySpace, nullptr);
+    for (int t = 0; t < kThreads; ++t) {
+        for (std::size_t i = 0; i < keys[t].size(); ++i) {
+            const Key key = keys[t][i];
+            GEntry *entry = got[t][i];
+            ASSERT_NE(entry, nullptr) << "thread " << t << " key " << key;
+            EXPECT_EQ(entry->key(), key);
+            if (entry_of[key] == nullptr)
+                entry_of[key] = entry;
+            EXPECT_EQ(entry, entry_of[key]) << "key " << key;
+        }
+    }
+    EXPECT_EQ(registry.size(), kTouched);
+    std::size_t visited = 0;
+    registry.ForEach([&](GEntry &entry) {
+        ++visited;
+        ASSERT_LT(entry.key(), kTouched);
+        EXPECT_EQ(&entry, entry_of[entry.key()]);
+    });
+    EXPECT_EQ(visited, kTouched);
+}
+
+TEST(GEntryRegistryDeathTest, KeyOutsideKeySpaceDies)
+{
+    GEntryRegistry registry(16);
+    EXPECT_EQ(registry.GetOrCreate(15).key(), 15u);
+    EXPECT_DEATH((void)registry.GetOrCreate(16),
+                 "outside the registry's key space");
+    const std::vector<Key> keys = {3, 1000};
+    std::vector<GEntry *> out(keys.size(), nullptr);
+    EXPECT_DEATH(registry.GetOrCreateBatch(keys, out.data()),
+                 "outside the registry's key space");
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ TEST_P(PqModelTest, RandomOpSequencesMatchReference)
 
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         auto queue = MakeQueue(kMaxStep);
-        GEntryRegistry registry(8);
+        GEntryRegistry registry(kKeys);
         std::map<Key, ModelEntry> model;
         Rng rng(seed);
         // Reads must be registered in non-decreasing step order per key;

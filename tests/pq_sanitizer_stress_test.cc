@@ -154,7 +154,7 @@ TEST(PqSanitizerStressTest, TwoLevelPqSurvivesAdjustPriorityRaces)
     config.max_step = kSteps;
     config.segment_slots = 8;
     TwoLevelPQ queue(config);
-    GEntryRegistry registry(8);
+    GEntryRegistry registry(kKeys);
 
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> flushed_records{0};
@@ -330,7 +330,7 @@ TEST(PqSanitizerStressTest, LockRankTracksAcquisitionOrder)
             lock_rank_internal::WouldViolate(LockRank::kFlushQueue));
         // ...going down or sideways is a violation.
         EXPECT_TRUE(
-            lock_rank_internal::WouldViolate(LockRank::kRegistryShard));
+            lock_rank_internal::WouldViolate(LockRank::kRegistry));
         EXPECT_TRUE(lock_rank_internal::WouldViolate(LockRank::kGEntry));
         {
             SpinGuard heap_guard(heap_lock);

@@ -32,9 +32,8 @@ TEST(PqShardedTest, SingleDequeuerDrainsAllShardsViaStealing)
     config.max_step = 10;
     config.n_shards = 8;
     TwoLevelPQ q(config);
-    GEntryRegistry registry(4);
-
     constexpr int kKeys = 64;  // spread across all 8 shards w.h.p.
+    GEntryRegistry registry(kKeys);
     for (Key k = 0; k < kKeys; ++k)
         RegisterUpdate(q, registry.GetOrCreate(k), {0, 0, {}});
     for (Key k = 0; k < kKeys; ++k)
@@ -58,14 +57,15 @@ TEST(PqShardedTest, HintedDequeuerDrainsOwnShardFirst)
     config.max_step = 4;
     config.n_shards = 4;
     TwoLevelPQ q(config);
-    GEntryRegistry registry(4);
 
     // Bin keys by the queue's own homing function.
     std::vector<std::vector<Key>> by_shard(4);
-    for (Key k = 0; by_shard[0].size() < 4 || by_shard[1].size() < 4 ||
-                    by_shard[2].size() < 4 || by_shard[3].size() < 4;
-         ++k)
-        by_shard[MixHash64(k) % 4].push_back(k);
+    Key key_space = 0;
+    for (; by_shard[0].size() < 4 || by_shard[1].size() < 4 ||
+           by_shard[2].size() < 4 || by_shard[3].size() < 4;
+         ++key_space)
+        by_shard[MixHash64(key_space) % 4].push_back(key_space);
+    GEntryRegistry registry(key_space);
 
     for (std::size_t shard = 0; shard < 4; ++shard) {
         for (std::size_t i = 0; i < 4; ++i) {
@@ -98,7 +98,7 @@ TEST(PqShardedTest, DequeueClaimBelowSkipsEmptyCeilingBucket)
     config.max_step = 6;
     config.n_shards = 2;
     TwoLevelPQ q(config);
-    GEntryRegistry registry(4);
+    GEntryRegistry registry(3);
 
     // Priority 1 and 3 populated, 2 empty; one deferred (∞) entry.
     RegisterUpdate(q, registry.GetOrCreate(0), {0, 0, {}});
@@ -147,7 +147,7 @@ TEST(PqShardedTest, DequeueClaimBelowCeilingEqualsLastDequeuedPriority)
     config.max_step = 4;
     config.n_shards = 2;
     TwoLevelPQ q(config);
-    GEntryRegistry registry(4);
+    GEntryRegistry registry(3);
 
     for (Key k = 0; k < 3; ++k) {
         RegisterUpdate(q, registry.GetOrCreate(k), {0, 0, {}});
@@ -182,13 +182,13 @@ TEST(PqShardedTest, StealRacesCooperativeClaimExactlyOnce)
     config.max_step = 6;
     config.n_shards = 2;
     TwoLevelPQ q(config);
-    GEntryRegistry registry(8);
 
     // Low half gate-blocking (priority 2), high half later (priority 5):
     // the cooperative claimer wants exactly the low half while a general
     // flusher with the other shard hint drains everything — every entry
     // it takes from the cooperative claimer's home shard is a steal.
     constexpr int kKeys = 96;
+    GEntryRegistry registry(kKeys);
     std::vector<std::atomic<int>> claims(kKeys);
     for (Key k = 0; k < kKeys; ++k) {
         RegisterUpdate(q, registry.GetOrCreate(k), {0, 0, {}});
@@ -275,7 +275,7 @@ TEST_P(PqShardedStressTest, ExactlyOnceFlushAndCleanAudit)
     config.n_shards = param.n_shards;
     TwoLevelPQ queue(config);
     queue.setScanCompression(param.compression);
-    GEntryRegistry registry(16);
+    GEntryRegistry registry(param.keys);
     InvariantAuditor auditor;
 
     // Pre-generate the trace (deduped keys per step).
